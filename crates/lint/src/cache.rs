@@ -338,7 +338,7 @@ mod tests {
         assert_eq!(f.symbols, orig.symbols);
         assert_eq!(f.findings[0].message, orig.findings[0].message);
         assert_eq!(f.findings[0].rule, Rule::NoPanic);
-        assert_eq!(f.waivers[0].used, true);
+        assert!(f.waivers[0].used);
     }
 
     #[test]

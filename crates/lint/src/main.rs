@@ -233,10 +233,8 @@ fn main() -> ExitCode {
         }
     }
     match args.format {
-        Format::Human => {
-            if !args.quiet {
-                print!("{}", report.render_human());
-            }
+        Format::Human if !args.quiet => {
+            print!("{}", report.render_human());
         }
         Format::Json if args.json.as_deref().map(|p| p.as_os_str()) != Some("-".as_ref()) => {
             print!("{}", report.to_json());

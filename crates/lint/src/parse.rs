@@ -262,11 +262,10 @@ fn parse_items(
         }
         // Fn modifiers (`const fn`, `unsafe fn`, `async fn`, `extern "C" fn`).
         let mut j = i;
-        loop {
-            match tokens.get(j).and_then(Token::ident) {
-                Some("const" | "unsafe" | "async" | "extern" | "default") => j += 1,
-                _ => break,
-            }
+        while let Some("const" | "unsafe" | "async" | "extern" | "default") =
+            tokens.get(j).and_then(Token::ident)
+        {
+            j += 1;
         }
         let is_fn_head = tokens.get(j).and_then(Token::ident) == Some("fn");
         if is_fn_head && j > i {
@@ -303,12 +302,18 @@ fn parse_items(
                 i = skip_macro_like(tokens, i, end);
             }
             _ => {
-                // Item-level macro invocation (`thread_local! { ... }`) or
-                // anything unrecognised: resynchronise.
+                // Item-level macro invocation or anything unrecognised:
+                // resynchronise. A brace body (`thread_local! { ... }`,
+                // `trace_events! { ... }`) declares items, so it is scanned
+                // like a module's; `name!(...)` / `name![...]` stay opaque.
                 if tokens.get(i).and_then(Token::ident).is_some()
                     && tokens.get(i + 1).and_then(Token::punct) == Some("!")
                 {
-                    i = skip_macro_like(tokens, i, end);
+                    if tokens.get(i + 2).and_then(Token::punct) == Some("{") {
+                        i = parse_mod(tokens, i + 1, end, owner, in_trait_impl, out);
+                    } else {
+                        i = skip_macro_like(tokens, i, end);
+                    }
                 } else {
                     i = item_start.max(i) + 1;
                 }
@@ -317,7 +322,7 @@ fn parse_items(
     }
 }
 
-/// Skips `name ! (...)` / `name ! { ... }` / `macro_rules! name { ... }`.
+/// Skips `name ! (...)` / `name ! [...]` / `macro_rules! name { ... }`.
 fn skip_macro_like(tokens: &[Token], mut i: usize, end: usize) -> usize {
     while i < end {
         match tokens[i].punct() {

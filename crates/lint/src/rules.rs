@@ -793,7 +793,7 @@ fn check_wall_clock(
 
 /// Whether a name denotes quantity `q` (`mv` exactly, or a `_mv` suffix).
 fn name_denotes(name: &str, names: &[&str], suffixes: &[&str]) -> bool {
-    names.iter().any(|n| name == *n) || suffixes.iter().any(|s| name.ends_with(s))
+    names.contains(&name) || suffixes.iter().any(|s| name.ends_with(s))
 }
 
 /// L7: raw primitives crossing `pub fn` boundaries where a workspace
@@ -1189,9 +1189,8 @@ fn check_swallowed_fallibility(
         // `drop(<expr>)` — the free function, not `.drop()` or `fn drop`.
         if t.ident() == Some("drop")
             && tokens.get(i + 1).and_then(Token::punct) == Some("(")
-            && i.checked_sub(1).map_or(true, |k| {
-                tokens[k].punct() != Some(".") && tokens[k].ident() != Some("fn")
-            })
+            && i.checked_sub(1)
+                .is_none_or(|k| tokens[k].punct() != Some(".") && tokens[k].ident() != Some("fn"))
         {
             let open = i + 1;
             let mut depth = 0i32;
@@ -1486,6 +1485,30 @@ mod tests {
         assert_eq!(rules_of(&out), vec![Rule::SpanBalance, Rule::SpanBalance]);
         assert!(out.findings[0].message.contains("Bogus"));
         assert!(out.findings[1].message.contains("typo"));
+    }
+
+    #[test]
+    fn span_balance_reads_a_macro_declared_schema() {
+        let decl = "trace_events! {\n\
+                    pub enum TraceEvent { RailSet { rail: String, mv: u32 } }\n\
+                    }";
+        let mut per_file = std::collections::BTreeMap::new();
+        per_file.insert(
+            "crates/trace/src/event.rs".to_owned(),
+            crate::symbols::file_symbols(&parse::parse(&lex(decl).tokens)),
+        );
+        let sym = Symbols::build(&per_file, &std::collections::BTreeMap::new());
+        let out = lint_rust_file_semantic(
+            "crates/sim/src/x.rs",
+            "fn f(o: &O) { o.record(&TraceEvent::RailSet { rail: r, mv: 900, typo: 2 }); }\n\
+             fn g(o: &O) { o.record(&TraceEvent::RailSat { rail: r, mv: 900 }); }\n\
+             fn h(o: &O) { o.record(&TraceEvent::RailSet { rail: r, mv: 900 }); }",
+            DET,
+            &sym,
+        );
+        assert_eq!(rules_of(&out), vec![Rule::SpanBalance, Rule::SpanBalance]);
+        assert!(out.findings[0].message.contains("typo"));
+        assert!(out.findings[1].message.contains("RailSat"));
     }
 
     #[test]

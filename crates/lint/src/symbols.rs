@@ -49,14 +49,13 @@ pub fn file_symbols(parsed: &ParsedFile) -> FileSymbols {
     let mut out = FileSymbols::default();
     for item in &parsed.items {
         match &item.kind {
-            ItemKind::Struct { fields, tuple } => {
+            ItemKind::Struct { fields, tuple }
                 if item.is_pub
                     && *tuple
                     && fields.len() == 1
-                    && PRIMITIVES.contains(&fields[0].ty.as_str())
-                {
-                    out.newtypes.push((item.name.clone(), fields[0].ty.clone()));
-                }
+                    && PRIMITIVES.contains(&fields[0].ty.as_str()) =>
+            {
+                out.newtypes.push((item.name.clone(), fields[0].ty.clone()));
             }
             ItemKind::Enum { variants } if item.name == "TraceEvent" => {
                 for v in variants {
@@ -405,6 +404,34 @@ mod tests {
         assert!(symbols_of("pub enum Other { A { x: u8 } }")
             .trace_variants
             .is_empty());
+    }
+
+    #[test]
+    fn trace_schema_collects_from_an_item_macro_body() {
+        let fs = symbols_of(
+            "trace_events! {\n\
+             /// Docs.\n\
+             #[derive(Debug)]\n\
+             pub enum TraceEvent { RailSet { rail: String, mv: u32 }, SweepFinished { runs: u32 } }\n\
+             }",
+        );
+        assert_eq!(
+            fs.trace_variants,
+            vec![
+                (
+                    "RailSet".to_owned(),
+                    vec!["rail".to_owned(), "mv".to_owned()]
+                ),
+                ("SweepFinished".to_owned(), vec!["runs".to_owned()]),
+            ]
+        );
+        // Paren- and bracket-bodied invocations stay opaque.
+        for src in [
+            "trace_events!(pub enum TraceEvent { A { x: u8 } });",
+            "trace_events![pub enum TraceEvent { A { x: u8 } }];",
+        ] {
+            assert!(symbols_of(src).trace_variants.is_empty(), "{src}");
+        }
     }
 
     #[test]

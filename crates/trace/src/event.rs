@@ -10,298 +10,363 @@
 //! floats) so the crate stays a leaf of the workspace graph and the JSONL
 //! schema is self-describing.
 
+use crate::field::{self, Fail, Field, FieldKind};
 use crate::json::{self, Value};
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// One telemetry event, before sequence/clock assignment.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TraceEvent {
-    /// A campaign began (the initialization phase completed).
-    CampaignStarted {
-        /// Chip identity, e.g. `TTT#0`.
-        chip: String,
-        /// Swept rail (`pmd` or `soc`).
-        rail: String,
-        /// Number of benchmarks in the campaign.
-        benchmarks: u32,
-        /// Number of target cores.
-        cores: u32,
-        /// Voltage steps in the sweep grid.
-        steps: u32,
-        /// Iterations per (benchmark, core, voltage) configuration.
-        iterations: u32,
-        /// Logical work shards: one per (benchmark, core) sweep item.
-        /// Which worker thread executes a shard — and, more generally,
-        /// which `CampaignExecutor` ran the campaign (serial, thread
-        /// pool, anything conformant) — is an execution detail
-        /// deliberately excluded from the schema, so streams are
-        /// identical across executors and thread counts. Executor
-        /// identity must never be added to any event.
-        shards: u32,
-        /// Campaign seed.
-        seed: u64,
-    },
-    /// One logical shard of the campaign schedule: a single (benchmark,
-    /// core) sweep item, announced in canonical order in the preamble.
-    ShardScheduled {
-        /// Canonical shard index (the item's position in benchmarks-major
-        /// order).
-        shard: u32,
-        /// Planned runs in this shard (steps × iterations; early stops may
-        /// execute fewer).
-        items: u32,
-    },
-    /// A (benchmark, core) sweep began.
-    SweepStarted {
-        /// Benchmark name.
-        program: String,
-        /// Input dataset label.
-        dataset: String,
-        /// Target core index.
-        core: u8,
-        /// Logical shard index of this sweep (its canonical item order),
-        /// never the executing worker thread.
-        shard: u32,
-    },
-    /// The golden output digest was captured at nominal conditions.
-    GoldenCaptured {
-        /// Benchmark name.
-        program: String,
-        /// Input dataset label.
-        dataset: String,
-        /// Target core index.
-        core: u8,
-        /// The golden digest, hex-rendered.
-        digest: String,
-        /// Modelled runtime of the golden run, seconds.
-        runtime_s: f64,
-    },
-    /// The sweep descended to a new voltage step.
-    VoltageStepped {
-        /// Swept rail (`pmd` or `soc`).
-        rail: String,
-        /// Step voltage, millivolts.
-        mv: u32,
-        /// 0-based step index within the sweep.
-        step: u32,
-    },
-    /// A supply rail was programmed through the SLIMpro (raw regulation
-    /// command — includes the per-run nominal restores of safe data
-    /// collection, §2.2.1).
-    RailSet {
-        /// Regulated rail (`pmd` or `soc`).
-        rail: String,
-        /// Programmed voltage, millivolts.
-        mv: u32,
-    },
-    /// The watchdog found the board hung and pressed the power button.
-    WatchdogPowerCycle {
-        /// 1-based ordinal of this recovery within the enclosing sweep.
-        /// (Deliberately *not* the board's boot count: that accumulates per
-        /// worker board and would differ between serial and sharded
-        /// executions of the same campaign.)
-        recovery: u32,
-    },
-    /// The EDAC driver reported a cache error (drained after a run).
-    CacheErrorReported {
-        /// Reporting array (`L1I`, `L1D`, `L2`, `L3`).
-        level: String,
-        /// Array instance (core index for L1, PMD index for L2, 0 for L3).
-        instance: u8,
-        /// Whether the error was corrected (CE) or only detected (UE).
-        corrected: bool,
-    },
-    /// One characterization run finished and was classified.
-    RunCompleted {
-        /// Benchmark name.
-        program: String,
-        /// Input dataset label.
-        dataset: String,
-        /// Target core index.
-        core: u8,
-        /// Swept-rail voltage of the run, millivolts.
-        mv: u32,
-        /// Iteration index within the campaign.
-        iteration: u32,
-        /// Observed Table 3 effect set, e.g. `NO` or `SDC+CE`.
-        effects: String,
-        /// The run's severity contribution (Σ Table 4 weights).
-        severity: f64,
-        /// Modelled runtime, seconds.
-        runtime_s: f64,
-        /// Modelled energy, joules. Deterministic because every voltage
-        /// step runs on a pristine board (the §2.2.1 initialization
-        /// phase), so the thermal history feeding the power model never
-        /// depends on which probes executed before.
-        energy_j: f64,
-        /// Corrected-error reports during the run.
-        corrected_errors: u64,
-        /// Uncorrected-error reports during the run.
-        uncorrected_errors: u64,
-    },
-    /// An adaptive search strategy selected the next voltage step to probe
-    /// (emitted only for machine-executed probes, never for cache replays).
-    SearchStep {
-        /// Benchmark name.
-        program: String,
-        /// Target core index.
-        core: u8,
-        /// Search strategy name (`bisection` or `warm-start`).
-        strategy: String,
-        /// Search phase: `vmin` (first-abnormal boundary) or `crash`
-        /// (first-all-system-crash boundary).
-        phase: String,
-        /// 0-based grid step index chosen.
-        step: u32,
-        /// Step voltage, millivolts.
-        mv: u32,
-    },
-    /// The campaign result cache was consulted for a probe.
-    CacheLookup {
-        /// Benchmark name.
-        program: String,
-        /// Input dataset label.
-        dataset: String,
-        /// Target core index.
-        core: u8,
-        /// What was looked up: `golden` or `step`.
-        probe: String,
-        /// Step voltage, millivolts (0 for golden lookups).
-        mv: u32,
-        /// Whether the cache held the result (hit ⇒ no machine work).
-        hit: bool,
-    },
-    /// An adaptive search finished a (benchmark, core) item.
-    SearchConcluded {
-        /// Benchmark name.
-        program: String,
-        /// Target core index.
-        core: u8,
-        /// Search strategy name.
-        strategy: String,
-        /// Voltage steps actually probed on the machine.
-        probed_steps: u32,
-        /// Voltage steps the exhaustive grid would have visited.
-        grid_steps: u32,
-        /// Steps answered from the campaign cache instead of execution.
-        cache_hits: u32,
-    },
-    /// The crash-stop policy ended a sweep early.
-    EarlyStop {
-        /// Benchmark name.
-        program: String,
-        /// Target core index.
-        core: u8,
-        /// Deepest voltage reached, millivolts.
-        mv: u32,
-        /// Consecutive all-system-crash steps that triggered the stop.
-        consecutive_all_sc: u32,
-    },
-    /// Deterministic work-accounting sample for one pipeline phase of a
-    /// sweep (profile plane 1). Counts *modelled* units of work — never
-    /// wall-clock time, which lives in the opt-in timing sidecar so the
-    /// stream stays byte-deterministic.
-    ProfileSample {
-        /// Benchmark name.
-        program: String,
-        /// Input dataset label.
-        dataset: String,
-        /// Target core index.
-        core: u8,
-        /// Pipeline phase: `board_init`, `golden_run`, `probe`,
-        /// `search_step` or `cache_lookup`.
-        phase: String,
-        /// Kernel ops retired by the simulator in this phase.
-        ops: u64,
-        /// Fault-model samples drawn while executing this phase.
-        fault_samples: u64,
-        /// SRAM/ECC error events observed in this phase.
-        sram_events: u64,
-        /// Campaign-cache probes attributed to this phase.
-        cache_probes: u64,
-        /// Watchdog recoveries attributed to this phase.
-        recoveries: u64,
-    },
-    /// A (benchmark, core) sweep finished.
-    SweepFinished {
-        /// Benchmark name.
-        program: String,
-        /// Input dataset label.
-        dataset: String,
-        /// Target core index.
-        core: u8,
-        /// Classified runs the sweep produced.
-        runs: u32,
-    },
-    /// Campaign-level rollup of one pipeline phase's deterministic work
-    /// counts, aggregated over every sweep in canonical item order
-    /// (profile plane 1).
-    ProfilePhase {
-        /// Pipeline phase: `board_init`, `golden_run`, `probe`,
-        /// `search_step` or `cache_lookup`.
-        phase: String,
-        /// Sweeps that contributed any work to the phase.
-        sweeps: u64,
-        /// Kernel ops retired by the simulator in this phase.
-        ops: u64,
-        /// Fault-model samples drawn while executing this phase.
-        fault_samples: u64,
-        /// SRAM/ECC error events observed in this phase.
-        sram_events: u64,
-        /// Campaign-cache probes attributed to this phase.
-        cache_probes: u64,
-        /// Watchdog recoveries attributed to this phase.
-        recoveries: u64,
-    },
-    /// The campaign finished.
-    CampaignFinished {
-        /// Total classified runs.
-        runs: u64,
-        /// Watchdog power cycles performed.
-        power_cycles: u32,
-    },
-    /// The undervolting governor chose an operating point (§5).
-    VoltageDecision {
-        /// The shared-rail voltage to program, millivolts.
-        voltage_mv: u32,
-        /// Guardband steps applied above the binding Vmin.
-        guardband_steps: u32,
-        /// Expected power relative to nominal.
-        relative_power: f64,
-        /// Expected throughput relative to all-full-speed.
-        relative_performance: f64,
-        /// Expected energy savings.
-        energy_savings: f64,
-    },
+/// Declares the event enum once and generates from its field list
+/// everything the JSONL codec needs: the event name, the payload encoder,
+/// the reader's `(field, kind)` schema table and the decoder. Adding a
+/// field to an event is a one-line edit to the declaration below.
+///
+/// The per-field work is done by [`Field`] and the fns of
+/// [`crate::field`], outside this macro, so the lint pass (which skips
+/// `macro_rules!` bodies) still checks it.
+macro_rules! trace_events {
+    (
+        $(#[$enum_meta:meta])*
+        $vis:vis enum $name:ident {
+            $(
+                $(#[$variant_meta:meta])*
+                $variant:ident {
+                    $($(#[$field_meta:meta])* $field:ident: $ty:ty),* $(,)?
+                }
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$enum_meta])*
+        $vis enum $name {
+            $(
+                $(#[$variant_meta])*
+                $variant {
+                    $($(#[$field_meta])* $field: $ty,)*
+                },
+            )*
+        }
+
+        impl $name {
+            /// The event's name (the JSON `event` tag).
+            #[must_use]
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $($name::$variant { .. } => stringify!($variant),)*
+                }
+            }
+
+            /// Encodes the event's payload fields (the JSON object minus
+            /// the `event` tag and envelope).
+            ///
+            /// # Errors
+            ///
+            /// Fails when a float field is non-finite (finalized events
+            /// never carry one).
+            fn encode_payload(&self, map: &mut BTreeMap<String, Value>) -> Result<(), EncodeError> {
+                match self {
+                    $($name::$variant { $($field,)* } => {
+                        $(field::put(map, stringify!($field), $field)?;)*
+                    })*
+                }
+                Ok(())
+            }
+        }
+
+        /// Every event name (the JSON `event` tags), in declaration order.
+        #[cfg(test)]
+        pub(crate) const EVENT_NAMES: &[&str] = &[$(stringify!($variant),)*];
+
+        /// The payload schema of the event tagged `event`: every field
+        /// with the JSON shape it must have. `None` for an unknown tag.
+        pub(crate) fn payload_schema(event: &str) -> Option<&'static [(&'static str, FieldKind)]> {
+            match event {
+                $(stringify!($variant) => Some(&[$((stringify!($field), <$ty as Field>::KIND),)*]),)*
+                _ => None,
+            }
+        }
+
+        /// Decodes the payload of the event tagged `event`, checking its
+        /// fields in declaration order.
+        ///
+        /// # Errors
+        ///
+        /// Fails on an unknown tag and on the first field that is missing
+        /// or has the wrong shape.
+        pub(crate) fn decode_payload(event: &str, map: &BTreeMap<String, Value>) -> Result<$name, Fail> {
+            Ok(match event {
+                $(stringify!($variant) => $name::$variant {
+                    $($field: field::required(map, event, stringify!($field))?,)*
+                },)*
+                _ => return Err(field::unknown_event(event)),
+            })
+        }
+    };
+}
+
+trace_events! {
+    /// One telemetry event, before sequence/clock assignment.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum TraceEvent {
+        /// A campaign began (the initialization phase completed).
+        CampaignStarted {
+            /// Chip identity, e.g. `TTT#0`.
+            chip: String,
+            /// Swept rail (`pmd` or `soc`).
+            rail: String,
+            /// Number of benchmarks in the campaign.
+            benchmarks: u32,
+            /// Number of target cores.
+            cores: u32,
+            /// Voltage steps in the sweep grid.
+            steps: u32,
+            /// Iterations per (benchmark, core, voltage) configuration.
+            iterations: u32,
+            /// Logical work shards: one per (benchmark, core) sweep item.
+            /// Which worker thread executes a shard — and, more generally,
+            /// which `CampaignExecutor` ran the campaign (serial, thread
+            /// pool, anything conformant) — is an execution detail
+            /// deliberately excluded from the schema, so streams are
+            /// identical across executors and thread counts. Executor
+            /// identity must never be added to any event.
+            shards: u32,
+            /// Campaign seed.
+            seed: u64,
+        },
+        /// One logical shard of the campaign schedule: a single (benchmark,
+        /// core) sweep item, announced in canonical order in the preamble.
+        ShardScheduled {
+            /// Canonical shard index (the item's position in benchmarks-major
+            /// order).
+            shard: u32,
+            /// Planned runs in this shard (steps × iterations; early stops may
+            /// execute fewer).
+            items: u32,
+        },
+        /// A (benchmark, core) sweep began.
+        SweepStarted {
+            /// Benchmark name.
+            program: String,
+            /// Input dataset label.
+            dataset: String,
+            /// Target core index.
+            core: u8,
+            /// Logical shard index of this sweep (its canonical item order),
+            /// never the executing worker thread.
+            shard: u32,
+        },
+        /// The golden output digest was captured at nominal conditions.
+        GoldenCaptured {
+            /// Benchmark name.
+            program: String,
+            /// Input dataset label.
+            dataset: String,
+            /// Target core index.
+            core: u8,
+            /// The golden digest, hex-rendered.
+            digest: String,
+            /// Modelled runtime of the golden run, seconds.
+            runtime_s: f64,
+        },
+        /// The sweep descended to a new voltage step.
+        VoltageStepped {
+            /// Swept rail (`pmd` or `soc`).
+            rail: String,
+            /// Step voltage, millivolts.
+            mv: u32,
+            /// 0-based step index within the sweep.
+            step: u32,
+        },
+        /// A supply rail was programmed through the SLIMpro (raw regulation
+        /// command — includes the per-run nominal restores of safe data
+        /// collection, §2.2.1).
+        RailSet {
+            /// Regulated rail (`pmd` or `soc`).
+            rail: String,
+            /// Programmed voltage, millivolts.
+            mv: u32,
+        },
+        /// The watchdog found the board hung and pressed the power button.
+        WatchdogPowerCycle {
+            /// 1-based ordinal of this recovery within the enclosing sweep.
+            /// (Deliberately *not* the board's boot count: that accumulates per
+            /// worker board and would differ between serial and sharded
+            /// executions of the same campaign.)
+            recovery: u32,
+        },
+        /// The EDAC driver reported a cache error (drained after a run).
+        CacheErrorReported {
+            /// Reporting array (`L1I`, `L1D`, `L2`, `L3`).
+            level: String,
+            /// Array instance (core index for L1, PMD index for L2, 0 for L3).
+            instance: u8,
+            /// Whether the error was corrected (CE) or only detected (UE).
+            corrected: bool,
+        },
+        /// One characterization run finished and was classified.
+        RunCompleted {
+            /// Benchmark name.
+            program: String,
+            /// Input dataset label.
+            dataset: String,
+            /// Target core index.
+            core: u8,
+            /// Swept-rail voltage of the run, millivolts.
+            mv: u32,
+            /// Iteration index within the campaign.
+            iteration: u32,
+            /// Observed Table 3 effect set, e.g. `NO` or `SDC+CE`.
+            effects: String,
+            /// The run's severity contribution (Σ Table 4 weights).
+            severity: f64,
+            /// Modelled runtime, seconds.
+            runtime_s: f64,
+            /// Modelled energy, joules. Deterministic because every voltage
+            /// step runs on a pristine board (the §2.2.1 initialization
+            /// phase), so the thermal history feeding the power model never
+            /// depends on which probes executed before.
+            energy_j: f64,
+            /// Corrected-error reports during the run.
+            corrected_errors: u64,
+            /// Uncorrected-error reports during the run.
+            uncorrected_errors: u64,
+        },
+        /// An adaptive search strategy selected the next voltage step to probe
+        /// (emitted only for machine-executed probes, never for cache replays).
+        SearchStep {
+            /// Benchmark name.
+            program: String,
+            /// Target core index.
+            core: u8,
+            /// Search strategy name (`bisection` or `warm-start`).
+            strategy: String,
+            /// Search phase: `vmin` (first-abnormal boundary) or `crash`
+            /// (first-all-system-crash boundary).
+            phase: String,
+            /// 0-based grid step index chosen.
+            step: u32,
+            /// Step voltage, millivolts.
+            mv: u32,
+        },
+        /// The campaign result cache was consulted for a probe.
+        CacheLookup {
+            /// Benchmark name.
+            program: String,
+            /// Input dataset label.
+            dataset: String,
+            /// Target core index.
+            core: u8,
+            /// What was looked up: `golden` or `step`.
+            probe: String,
+            /// Step voltage, millivolts (0 for golden lookups).
+            mv: u32,
+            /// Whether the cache held the result (hit ⇒ no machine work).
+            hit: bool,
+        },
+        /// An adaptive search finished a (benchmark, core) item.
+        SearchConcluded {
+            /// Benchmark name.
+            program: String,
+            /// Target core index.
+            core: u8,
+            /// Search strategy name.
+            strategy: String,
+            /// Voltage steps actually probed on the machine.
+            probed_steps: u32,
+            /// Voltage steps the exhaustive grid would have visited.
+            grid_steps: u32,
+            /// Steps answered from the campaign cache instead of execution.
+            cache_hits: u32,
+        },
+        /// The crash-stop policy ended a sweep early.
+        EarlyStop {
+            /// Benchmark name.
+            program: String,
+            /// Target core index.
+            core: u8,
+            /// Deepest voltage reached, millivolts.
+            mv: u32,
+            /// Consecutive all-system-crash steps that triggered the stop.
+            consecutive_all_sc: u32,
+        },
+        /// Deterministic work-accounting sample for one pipeline phase of a
+        /// sweep (profile plane 1). Counts *modelled* units of work — never
+        /// wall-clock time, which lives in the opt-in timing sidecar so the
+        /// stream stays byte-deterministic.
+        ProfileSample {
+            /// Benchmark name.
+            program: String,
+            /// Input dataset label.
+            dataset: String,
+            /// Target core index.
+            core: u8,
+            /// Pipeline phase: `board_init`, `golden_run`, `probe`,
+            /// `search_step` or `cache_lookup`.
+            phase: String,
+            /// Kernel ops retired by the simulator in this phase.
+            ops: u64,
+            /// Fault-model samples drawn while executing this phase.
+            fault_samples: u64,
+            /// SRAM/ECC error events observed in this phase.
+            sram_events: u64,
+            /// Campaign-cache probes attributed to this phase.
+            cache_probes: u64,
+            /// Watchdog recoveries attributed to this phase.
+            recoveries: u64,
+        },
+        /// A (benchmark, core) sweep finished.
+        SweepFinished {
+            /// Benchmark name.
+            program: String,
+            /// Input dataset label.
+            dataset: String,
+            /// Target core index.
+            core: u8,
+            /// Classified runs the sweep produced.
+            runs: u32,
+        },
+        /// Campaign-level rollup of one pipeline phase's deterministic work
+        /// counts, aggregated over every sweep in canonical item order
+        /// (profile plane 1).
+        ProfilePhase {
+            /// Pipeline phase: `board_init`, `golden_run`, `probe`,
+            /// `search_step` or `cache_lookup`.
+            phase: String,
+            /// Sweeps that contributed any work to the phase.
+            sweeps: u64,
+            /// Kernel ops retired by the simulator in this phase.
+            ops: u64,
+            /// Fault-model samples drawn while executing this phase.
+            fault_samples: u64,
+            /// SRAM/ECC error events observed in this phase.
+            sram_events: u64,
+            /// Campaign-cache probes attributed to this phase.
+            cache_probes: u64,
+            /// Watchdog recoveries attributed to this phase.
+            recoveries: u64,
+        },
+        /// The campaign finished.
+        CampaignFinished {
+            /// Total classified runs.
+            runs: u64,
+            /// Watchdog power cycles performed.
+            power_cycles: u32,
+        },
+        /// The undervolting governor chose an operating point (§5).
+        VoltageDecision {
+            /// The shared-rail voltage to program, millivolts.
+            voltage_mv: u32,
+            /// Guardband steps applied above the binding Vmin.
+            guardband_steps: u32,
+            /// Expected power relative to nominal.
+            relative_power: f64,
+            /// Expected throughput relative to all-full-speed.
+            relative_performance: f64,
+            /// Expected energy savings.
+            energy_savings: f64,
+        },
+    }
 }
 
 impl TraceEvent {
-    /// The event's name (the JSON `event` tag).
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        match self {
-            TraceEvent::CampaignStarted { .. } => "CampaignStarted",
-            TraceEvent::ShardScheduled { .. } => "ShardScheduled",
-            TraceEvent::SweepStarted { .. } => "SweepStarted",
-            TraceEvent::GoldenCaptured { .. } => "GoldenCaptured",
-            TraceEvent::VoltageStepped { .. } => "VoltageStepped",
-            TraceEvent::RailSet { .. } => "RailSet",
-            TraceEvent::WatchdogPowerCycle { .. } => "WatchdogPowerCycle",
-            TraceEvent::CacheErrorReported { .. } => "CacheErrorReported",
-            TraceEvent::RunCompleted { .. } => "RunCompleted",
-            TraceEvent::SearchStep { .. } => "SearchStep",
-            TraceEvent::CacheLookup { .. } => "CacheLookup",
-            TraceEvent::SearchConcluded { .. } => "SearchConcluded",
-            TraceEvent::EarlyStop { .. } => "EarlyStop",
-            TraceEvent::ProfileSample { .. } => "ProfileSample",
-            TraceEvent::SweepFinished { .. } => "SweepFinished",
-            TraceEvent::ProfilePhase { .. } => "ProfilePhase",
-            TraceEvent::CampaignFinished { .. } => "CampaignFinished",
-            TraceEvent::VoltageDecision { .. } => "VoltageDecision",
-        }
-    }
-
     /// Modelled time the event consumes on the campaign clock: the run
     /// duration for executed work, zero for markers.
     #[must_use]
@@ -312,255 +377,6 @@ impl TraceEvent {
             _ => 0.0,
         }
     }
-
-    /// Encodes the event's payload fields (the JSON object minus the
-    /// `event` tag and envelope). The inverse lives in [`crate::reader`];
-    /// a round-trip test there keeps the two in sync.
-    ///
-    /// # Errors
-    ///
-    /// Fails when a float field is non-finite (finalized events never
-    /// carry one).
-    fn encode_payload(&self, map: &mut BTreeMap<String, Value>) -> Result<(), EncodeError> {
-        match self {
-            TraceEvent::CampaignStarted {
-                chip,
-                rail,
-                benchmarks,
-                cores,
-                steps,
-                iterations,
-                shards,
-                seed,
-            } => {
-                put_str(map, "chip", chip);
-                put_str(map, "rail", rail);
-                put_u64(map, "benchmarks", u64::from(*benchmarks));
-                put_u64(map, "cores", u64::from(*cores));
-                put_u64(map, "steps", u64::from(*steps));
-                put_u64(map, "iterations", u64::from(*iterations));
-                put_u64(map, "shards", u64::from(*shards));
-                put_u64(map, "seed", *seed);
-            }
-            TraceEvent::ShardScheduled { shard, items } => {
-                put_u64(map, "shard", u64::from(*shard));
-                put_u64(map, "items", u64::from(*items));
-            }
-            TraceEvent::SweepStarted {
-                program,
-                dataset,
-                core,
-                shard,
-            } => {
-                put_str(map, "program", program);
-                put_str(map, "dataset", dataset);
-                put_u64(map, "core", u64::from(*core));
-                put_u64(map, "shard", u64::from(*shard));
-            }
-            TraceEvent::GoldenCaptured {
-                program,
-                dataset,
-                core,
-                digest,
-                runtime_s,
-            } => {
-                put_str(map, "program", program);
-                put_str(map, "dataset", dataset);
-                put_u64(map, "core", u64::from(*core));
-                put_str(map, "digest", digest);
-                put_f64(map, "runtime_s", *runtime_s)?;
-            }
-            TraceEvent::VoltageStepped { rail, mv, step } => {
-                put_str(map, "rail", rail);
-                put_u64(map, "mv", u64::from(*mv));
-                put_u64(map, "step", u64::from(*step));
-            }
-            TraceEvent::RailSet { rail, mv } => {
-                put_str(map, "rail", rail);
-                put_u64(map, "mv", u64::from(*mv));
-            }
-            TraceEvent::WatchdogPowerCycle { recovery } => {
-                put_u64(map, "recovery", u64::from(*recovery));
-            }
-            TraceEvent::CacheErrorReported {
-                level,
-                instance,
-                corrected,
-            } => {
-                put_str(map, "level", level);
-                put_u64(map, "instance", u64::from(*instance));
-                map.insert("corrected".to_owned(), Value::Bool(*corrected));
-            }
-            TraceEvent::RunCompleted {
-                program,
-                dataset,
-                core,
-                mv,
-                iteration,
-                effects,
-                severity,
-                runtime_s,
-                energy_j,
-                corrected_errors,
-                uncorrected_errors,
-            } => {
-                put_str(map, "program", program);
-                put_str(map, "dataset", dataset);
-                put_u64(map, "core", u64::from(*core));
-                put_u64(map, "mv", u64::from(*mv));
-                put_u64(map, "iteration", u64::from(*iteration));
-                put_str(map, "effects", effects);
-                put_f64(map, "severity", *severity)?;
-                put_f64(map, "runtime_s", *runtime_s)?;
-                put_f64(map, "energy_j", *energy_j)?;
-                put_u64(map, "corrected_errors", *corrected_errors);
-                put_u64(map, "uncorrected_errors", *uncorrected_errors);
-            }
-            TraceEvent::SearchStep {
-                program,
-                core,
-                strategy,
-                phase,
-                step,
-                mv,
-            } => {
-                put_str(map, "program", program);
-                put_u64(map, "core", u64::from(*core));
-                put_str(map, "strategy", strategy);
-                put_str(map, "phase", phase);
-                put_u64(map, "step", u64::from(*step));
-                put_u64(map, "mv", u64::from(*mv));
-            }
-            TraceEvent::CacheLookup {
-                program,
-                dataset,
-                core,
-                probe,
-                mv,
-                hit,
-            } => {
-                put_str(map, "program", program);
-                put_str(map, "dataset", dataset);
-                put_u64(map, "core", u64::from(*core));
-                put_str(map, "probe", probe);
-                put_u64(map, "mv", u64::from(*mv));
-                map.insert("hit".to_owned(), Value::Bool(*hit));
-            }
-            TraceEvent::SearchConcluded {
-                program,
-                core,
-                strategy,
-                probed_steps,
-                grid_steps,
-                cache_hits,
-            } => {
-                put_str(map, "program", program);
-                put_u64(map, "core", u64::from(*core));
-                put_str(map, "strategy", strategy);
-                put_u64(map, "probed_steps", u64::from(*probed_steps));
-                put_u64(map, "grid_steps", u64::from(*grid_steps));
-                put_u64(map, "cache_hits", u64::from(*cache_hits));
-            }
-            TraceEvent::EarlyStop {
-                program,
-                core,
-                mv,
-                consecutive_all_sc,
-            } => {
-                put_str(map, "program", program);
-                put_u64(map, "core", u64::from(*core));
-                put_u64(map, "mv", u64::from(*mv));
-                put_u64(map, "consecutive_all_sc", u64::from(*consecutive_all_sc));
-            }
-            TraceEvent::ProfileSample {
-                program,
-                dataset,
-                core,
-                phase,
-                ops,
-                fault_samples,
-                sram_events,
-                cache_probes,
-                recoveries,
-            } => {
-                put_str(map, "program", program);
-                put_str(map, "dataset", dataset);
-                put_u64(map, "core", u64::from(*core));
-                put_str(map, "phase", phase);
-                put_u64(map, "ops", *ops);
-                put_u64(map, "fault_samples", *fault_samples);
-                put_u64(map, "sram_events", *sram_events);
-                put_u64(map, "cache_probes", *cache_probes);
-                put_u64(map, "recoveries", *recoveries);
-            }
-            TraceEvent::ProfilePhase {
-                phase,
-                sweeps,
-                ops,
-                fault_samples,
-                sram_events,
-                cache_probes,
-                recoveries,
-            } => {
-                put_str(map, "phase", phase);
-                put_u64(map, "sweeps", *sweeps);
-                put_u64(map, "ops", *ops);
-                put_u64(map, "fault_samples", *fault_samples);
-                put_u64(map, "sram_events", *sram_events);
-                put_u64(map, "cache_probes", *cache_probes);
-                put_u64(map, "recoveries", *recoveries);
-            }
-            TraceEvent::SweepFinished {
-                program,
-                dataset,
-                core,
-                runs,
-            } => {
-                put_str(map, "program", program);
-                put_str(map, "dataset", dataset);
-                put_u64(map, "core", u64::from(*core));
-                put_u64(map, "runs", u64::from(*runs));
-            }
-            TraceEvent::CampaignFinished { runs, power_cycles } => {
-                put_u64(map, "runs", *runs);
-                put_u64(map, "power_cycles", u64::from(*power_cycles));
-            }
-            TraceEvent::VoltageDecision {
-                voltage_mv,
-                guardband_steps,
-                relative_power,
-                relative_performance,
-                energy_savings,
-            } => {
-                put_u64(map, "voltage_mv", u64::from(*voltage_mv));
-                put_u64(map, "guardband_steps", u64::from(*guardband_steps));
-                put_f64(map, "relative_power", *relative_power)?;
-                put_f64(map, "relative_performance", *relative_performance)?;
-                put_f64(map, "energy_savings", *energy_savings)?;
-            }
-        }
-        Ok(())
-    }
-}
-
-fn put_str(map: &mut BTreeMap<String, Value>, name: &str, value: &str) {
-    map.insert(name.to_owned(), Value::String(value.to_owned()));
-}
-
-fn put_u64(map: &mut BTreeMap<String, Value>, name: &str, value: u64) {
-    map.insert(name.to_owned(), Value::from_u64(value));
-}
-
-fn put_f64(
-    map: &mut BTreeMap<String, Value>,
-    name: &'static str,
-    value: f64,
-) -> Result<(), EncodeError> {
-    if !value.is_finite() {
-        return Err(EncodeError { field: name });
-    }
-    map.insert(name.to_owned(), Value::from_f64(value));
-    Ok(())
 }
 
 /// A record could not be serialized: a float field was non-finite (JSON
@@ -605,8 +421,8 @@ impl TraceRecord {
         let mut map = BTreeMap::new();
         map.insert("event".to_owned(), Value::from_str_val(self.event.name()));
         self.event.encode_payload(&mut map)?;
-        put_u64(&mut map, "seq", self.seq);
-        put_f64(&mut map, "t_model_s", self.t_model_s)?;
+        field::put(&mut map, "seq", &self.seq)?;
+        field::put(&mut map, "t_model_s", &self.t_model_s)?;
         Ok(Value::Object(map))
     }
 

@@ -10,7 +10,8 @@
 //!   (campaign seeds, error counters) never pass through `f64` and lose
 //!   precision, and floats round-trip byte-exactly.
 //! * [`parse`] is a strict recursive-descent reader with typed message
-//!   errors (never a panic on untrusted input).
+//!   errors (never a panic on untrusted input). Nesting is capped at
+//!   [`MAX_DEPTH`] so hostile input cannot overflow the stack.
 //! * [`render`] writes compact JSON with object keys in sorted order (a
 //!   [`BTreeMap`] by construction), `\n`-free, locale-independent —
 //!   byte-identical output for equal values on every platform.
@@ -166,6 +167,12 @@ pub fn render_into(out: &mut String, value: &Value) {
     }
 }
 
+/// The deepest array/object nesting [`parse`] accepts. Every JSON text
+/// this workspace writes nests a few levels at most; the cap bounds the
+/// parser's recursion so a line of `[[[…` is an error, not a stack
+/// overflow that aborts the process.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses exactly one JSON value spanning the whole input.
 ///
 /// Numbers keep their raw token so 64-bit integers never pass through
@@ -174,11 +181,13 @@ pub fn render_into(out: &mut String, value: &Value) {
 ///
 /// # Errors
 ///
-/// Returns a message describing the first syntax error.
+/// Returns a message describing the first syntax error, or the offset at
+/// which nesting exceeds [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Value, String> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -192,6 +201,8 @@ pub fn parse(input: &str) -> Result<Value, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -229,8 +240,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::String(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -239,6 +250,20 @@ impl Parser<'_> {
             Some(c) => Err(format!("unexpected byte 0x{c:02x} at offset {}", self.pos)),
             None => Err("unexpected end of input".to_owned()),
         }
+    }
+
+    /// Parses one array or object with `parse`, one level deeper.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at offset {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Value, String> {
@@ -416,6 +441,39 @@ mod tests {
         for bad in ["", "{", "[1,", "\"open", "{\"a\":}", "1 2", "nul", "+5"] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        // A 2 MiB stack is what spawned threads (daemon connections,
+        // executor workers) get by default.
+        let outcome = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                [
+                    parse(&"[".repeat(100_000)),
+                    parse(&"{\"a\":".repeat(100_000)),
+                ]
+            })
+            .expect("spawn")
+            .join()
+            .expect("no stack overflow");
+        assert_eq!(
+            outcome[0],
+            Err("nesting deeper than 128 levels at offset 128".to_owned())
+        );
+        assert_eq!(
+            outcome[1],
+            Err("nesting deeper than 128 levels at offset 640".to_owned())
+        );
+    }
+
+    #[test]
+    fn nesting_up_to_the_cap_parses() {
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&deepest).is_ok());
+        let over = format!("[{deepest}]");
+        assert!(parse(&over).is_err());
     }
 
     #[test]

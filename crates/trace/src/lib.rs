@@ -40,6 +40,7 @@
 #![warn(missing_docs)]
 
 pub mod event;
+mod field;
 pub mod files;
 pub mod json;
 pub mod metrics;

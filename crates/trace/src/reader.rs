@@ -9,17 +9,17 @@
 //! can point at the exact byte range a producer corrupted.
 //!
 //! Decoding is deliberately strict: the expected payload fields of every
-//! event are checked against a schema table (unknown extra fields are
-//! rejected, since the writer never emits them), numeric ranges are
-//! enforced (a `core` of 300 is corruption, not data), and integer tokens
-//! are parsed from their raw text so 64-bit values never round-trip
-//! through `f64`.
+//! event come from the schema generated by the `trace_events!`
+//! declaration (unknown extra fields are rejected, since the writer never
+//! emits them), numeric ranges are enforced (a `core` of 300 is
+//! corruption, not data), and integer tokens are parsed from their raw
+//! text so 64-bit values never round-trip through `f64`.
 //!
 //! [`JsonlSink`]: crate::sink::JsonlSink
 
-use crate::event::{TraceEvent, TraceRecord};
-use crate::json::{self, Value};
-use std::collections::BTreeMap;
+use crate::event::{decode_payload, payload_schema, TraceRecord};
+use crate::field::{self, Fail};
+use crate::json;
 use std::fmt;
 
 /// A typed failure parsing one line of a JSONL trace stream.
@@ -46,9 +46,6 @@ impl fmt::Display for ParseFailure {
 }
 
 impl std::error::Error for ParseFailure {}
-
-/// A field-attributable decode failure, before line attribution.
-type Fail = (Option<String>, String);
 
 /// Parses a whole JSONL stream into records.
 ///
@@ -78,258 +75,21 @@ pub fn read_jsonl(input: &str) -> Result<Vec<TraceRecord>, ParseFailure> {
     Ok(records)
 }
 
-/// The JSON shape a payload field must have.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FieldKind {
-    /// Unsigned integer fitting in `u8`.
-    U8,
-    /// Unsigned integer fitting in `u32`.
-    U32,
-    /// Unsigned integer fitting in `u64`.
-    U64,
-    /// Any finite JSON number.
-    F64,
-    /// A JSON string.
-    Str,
-    /// A JSON boolean.
-    Bool,
-}
-
-impl FieldKind {
-    fn accepts(self, value: &Value) -> bool {
-        match self {
-            FieldKind::U8 => number_parses::<u8>(value),
-            FieldKind::U32 => number_parses::<u32>(value),
-            FieldKind::U64 => number_parses::<u64>(value),
-            FieldKind::F64 => value
-                .as_number()
-                .is_some_and(|raw| raw.parse::<f64>().is_ok_and(f64::is_finite)),
-            FieldKind::Str => value.as_str().is_some(),
-            FieldKind::Bool => matches!(value, Value::Bool(_)),
-        }
-    }
-
-    fn describe(self) -> &'static str {
-        match self {
-            FieldKind::U8 => "an unsigned integer ≤ 255",
-            FieldKind::U32 => "an unsigned 32-bit integer",
-            FieldKind::U64 => "an unsigned 64-bit integer",
-            FieldKind::F64 => "a finite number",
-            FieldKind::Str => "a string",
-            FieldKind::Bool => "a boolean",
-        }
-    }
-}
-
-/// Whether `value` is a number whose raw token parses as `T` — exact
-/// integer semantics (`300` is not a `u8`, `-3` is not a `u64`, `1.5` is
-/// not an integer at all), no `f64` round trip.
-fn number_parses<T: std::str::FromStr>(value: &Value) -> bool {
-    value
-        .as_number()
-        .is_some_and(|raw| raw.parse::<T>().is_ok())
-}
-
-/// Payload schema per event tag, mirroring [`crate::event::TraceEvent`].
-/// A sync test in this module asserts every variant serializes to exactly
-/// these fields.
-fn event_schema(event: &str) -> Option<&'static [(&'static str, FieldKind)]> {
-    use FieldKind::{Bool, Str, F64, U32, U64, U8};
-    Some(match event {
-        "CampaignStarted" => &[
-            ("chip", Str),
-            ("rail", Str),
-            ("benchmarks", U32),
-            ("cores", U32),
-            ("steps", U32),
-            ("iterations", U32),
-            ("shards", U32),
-            ("seed", U64),
-        ],
-        "ShardScheduled" => &[("shard", U32), ("items", U32)],
-        "SweepStarted" => &[
-            ("program", Str),
-            ("dataset", Str),
-            ("core", U8),
-            ("shard", U32),
-        ],
-        "GoldenCaptured" => &[
-            ("program", Str),
-            ("dataset", Str),
-            ("core", U8),
-            ("digest", Str),
-            ("runtime_s", F64),
-        ],
-        "VoltageStepped" => &[("rail", Str), ("mv", U32), ("step", U32)],
-        "RailSet" => &[("rail", Str), ("mv", U32)],
-        "WatchdogPowerCycle" => &[("recovery", U32)],
-        "CacheErrorReported" => &[("level", Str), ("instance", U8), ("corrected", Bool)],
-        "RunCompleted" => &[
-            ("program", Str),
-            ("dataset", Str),
-            ("core", U8),
-            ("mv", U32),
-            ("iteration", U32),
-            ("effects", Str),
-            ("severity", F64),
-            ("runtime_s", F64),
-            ("energy_j", F64),
-            ("corrected_errors", U64),
-            ("uncorrected_errors", U64),
-        ],
-        "SearchStep" => &[
-            ("program", Str),
-            ("core", U8),
-            ("strategy", Str),
-            ("phase", Str),
-            ("step", U32),
-            ("mv", U32),
-        ],
-        "CacheLookup" => &[
-            ("program", Str),
-            ("dataset", Str),
-            ("core", U8),
-            ("probe", Str),
-            ("mv", U32),
-            ("hit", Bool),
-        ],
-        "SearchConcluded" => &[
-            ("program", Str),
-            ("core", U8),
-            ("strategy", Str),
-            ("probed_steps", U32),
-            ("grid_steps", U32),
-            ("cache_hits", U32),
-        ],
-        "EarlyStop" => &[
-            ("program", Str),
-            ("core", U8),
-            ("mv", U32),
-            ("consecutive_all_sc", U32),
-        ],
-        "ProfileSample" => &[
-            ("program", Str),
-            ("dataset", Str),
-            ("core", U8),
-            ("phase", Str),
-            ("ops", U64),
-            ("fault_samples", U64),
-            ("sram_events", U64),
-            ("cache_probes", U64),
-            ("recoveries", U64),
-        ],
-        "SweepFinished" => &[
-            ("program", Str),
-            ("dataset", Str),
-            ("core", U8),
-            ("runs", U32),
-        ],
-        "ProfilePhase" => &[
-            ("phase", Str),
-            ("sweeps", U64),
-            ("ops", U64),
-            ("fault_samples", U64),
-            ("sram_events", U64),
-            ("cache_probes", U64),
-            ("recoveries", U64),
-        ],
-        "CampaignFinished" => &[("runs", U64), ("power_cycles", U32)],
-        "VoltageDecision" => &[
-            ("voltage_mv", U32),
-            ("guardband_steps", U32),
-            ("relative_power", F64),
-            ("relative_performance", F64),
-            ("energy_savings", F64),
-        ],
-        _ => return None,
-    })
-}
-
-/// The envelope fields every record carries besides the event payload.
-const ENVELOPE_FIELDS: [(&str, FieldKind); 2] =
-    [("seq", FieldKind::U64), ("t_model_s", FieldKind::F64)];
-
-/// Typed access to the fields of a schema-validated JSON object. Every
-/// accessor still returns `Result` (never panics on adversarial input),
-/// but after the schema pass the error paths are unreachable.
-struct Obj<'a> {
-    map: &'a BTreeMap<String, Value>,
-}
-
-impl Obj<'_> {
-    fn raw(&self, name: &str) -> Result<&Value, Fail> {
-        self.map
-            .get(name)
-            .ok_or_else(|| (Some(name.to_owned()), "missing".to_owned()))
-    }
-
-    fn str(&self, name: &str) -> Result<String, Fail> {
-        self.raw(name)?
-            .as_str()
-            .map(str::to_owned)
-            .ok_or_else(|| type_fail(name, FieldKind::Str, self.map))
-    }
-
-    fn int<T: std::str::FromStr>(&self, name: &str, kind: FieldKind) -> Result<T, Fail> {
-        self.raw(name)?
-            .as_number()
-            .and_then(|raw| raw.parse::<T>().ok())
-            .ok_or_else(|| type_fail(name, kind, self.map))
-    }
-
-    fn u8(&self, name: &str) -> Result<u8, Fail> {
-        self.int(name, FieldKind::U8)
-    }
-
-    fn u32(&self, name: &str) -> Result<u32, Fail> {
-        self.int(name, FieldKind::U32)
-    }
-
-    fn u64(&self, name: &str) -> Result<u64, Fail> {
-        self.int(name, FieldKind::U64)
-    }
-
-    fn f64(&self, name: &str) -> Result<f64, Fail> {
-        self.raw(name)?
-            .as_number()
-            .and_then(|raw| raw.parse::<f64>().ok())
-            .filter(|v| v.is_finite())
-            .ok_or_else(|| type_fail(name, FieldKind::F64, self.map))
-    }
-
-    fn bool(&self, name: &str) -> Result<bool, Fail> {
-        match self.raw(name)? {
-            Value::Bool(b) => Ok(*b),
-            _ => Err(type_fail(name, FieldKind::Bool, self.map)),
-        }
-    }
-}
-
-fn type_fail(name: &str, kind: FieldKind, map: &BTreeMap<String, Value>) -> Fail {
-    let got = map.get(name).map_or("nothing".to_owned(), json::render);
-    (
-        Some(name.to_owned()),
-        format!("expected {}, got {got}", kind.describe()),
-    )
-}
-
 /// Parses one line, reporting `(offending field, message)` on failure.
+///
+/// Checks run in a fixed order so each corruption has one diagnosis: the
+/// `seq`/`t_model_s` envelope, the `event` tag, the payload fields in
+/// declaration order, then any field the event does not declare.
 fn parse_line(line: &str) -> Result<TraceRecord, Fail> {
     let value = json::parse(line).map_err(|e| (None, format!("not valid JSON: {e}")))?;
     let Some(map) = value.as_object() else {
         return Err((None, "line is not a JSON object".to_owned()));
     };
-    let obj = Obj { map };
-
-    for (name, kind) in ENVELOPE_FIELDS {
-        match map.get(name) {
-            None => return Err((Some(name.to_owned()), "missing".to_owned())),
-            Some(v) if !kind.accepts(v) => return Err(type_fail(name, kind, map)),
-            Some(_) => {}
-        }
-    }
+    let missing = |name: &str| (Some(name.to_owned()), "missing".to_owned());
+    let seq = field::take(map, "seq")?.ok_or_else(|| missing("seq"))?;
+    let t_model_s = field::take(map, "t_model_s")?.ok_or_else(|| missing("t_model_s"))?;
     let Some(event) = map.get("event") else {
-        return Err((Some("event".to_owned()), "missing".to_owned()));
+        return Err(missing("event"));
     };
     let Some(event_name) = event.as_str() else {
         return Err((
@@ -337,25 +97,10 @@ fn parse_line(line: &str) -> Result<TraceRecord, Fail> {
             format!("expected a string event tag, got {}", json::render(event)),
         ));
     };
-    let Some(schema) = event_schema(event_name) else {
-        return Err((
-            Some("event".to_owned()),
-            format!("unknown event '{event_name}'"),
-        ));
+    let Some(schema) = payload_schema(event_name) else {
+        return Err(field::unknown_event(event_name));
     };
-
-    for (name, kind) in schema {
-        match map.get(*name) {
-            None => {
-                return Err((
-                    Some((*name).to_owned()),
-                    format!("missing (required by {event_name})"),
-                ))
-            }
-            Some(v) if !kind.accepts(v) => return Err(type_fail(name, *kind, map)),
-            Some(_) => {}
-        }
-    }
+    let event = decode_payload(event_name, map)?;
     for key in map.keys() {
         let known = key == "seq"
             || key == "t_model_s"
@@ -368,153 +113,17 @@ fn parse_line(line: &str) -> Result<TraceRecord, Fail> {
             ));
         }
     }
-
     Ok(TraceRecord {
-        seq: obj.u64("seq")?,
-        t_model_s: obj.f64("t_model_s")?,
-        event: decode_event(event_name, &obj)?,
-    })
-}
-
-/// Builds the typed event from a schema-validated object. The inverse of
-/// [`TraceEvent`]'s payload encoder; the round-trip test below keeps the
-/// two (and the schema table) in sync.
-fn decode_event(name: &str, obj: &Obj<'_>) -> Result<TraceEvent, Fail> {
-    Ok(match name {
-        "CampaignStarted" => TraceEvent::CampaignStarted {
-            chip: obj.str("chip")?,
-            rail: obj.str("rail")?,
-            benchmarks: obj.u32("benchmarks")?,
-            cores: obj.u32("cores")?,
-            steps: obj.u32("steps")?,
-            iterations: obj.u32("iterations")?,
-            shards: obj.u32("shards")?,
-            seed: obj.u64("seed")?,
-        },
-        "ShardScheduled" => TraceEvent::ShardScheduled {
-            shard: obj.u32("shard")?,
-            items: obj.u32("items")?,
-        },
-        "SweepStarted" => TraceEvent::SweepStarted {
-            program: obj.str("program")?,
-            dataset: obj.str("dataset")?,
-            core: obj.u8("core")?,
-            shard: obj.u32("shard")?,
-        },
-        "GoldenCaptured" => TraceEvent::GoldenCaptured {
-            program: obj.str("program")?,
-            dataset: obj.str("dataset")?,
-            core: obj.u8("core")?,
-            digest: obj.str("digest")?,
-            runtime_s: obj.f64("runtime_s")?,
-        },
-        "VoltageStepped" => TraceEvent::VoltageStepped {
-            rail: obj.str("rail")?,
-            mv: obj.u32("mv")?,
-            step: obj.u32("step")?,
-        },
-        "RailSet" => TraceEvent::RailSet {
-            rail: obj.str("rail")?,
-            mv: obj.u32("mv")?,
-        },
-        "WatchdogPowerCycle" => TraceEvent::WatchdogPowerCycle {
-            recovery: obj.u32("recovery")?,
-        },
-        "CacheErrorReported" => TraceEvent::CacheErrorReported {
-            level: obj.str("level")?,
-            instance: obj.u8("instance")?,
-            corrected: obj.bool("corrected")?,
-        },
-        "RunCompleted" => TraceEvent::RunCompleted {
-            program: obj.str("program")?,
-            dataset: obj.str("dataset")?,
-            core: obj.u8("core")?,
-            mv: obj.u32("mv")?,
-            iteration: obj.u32("iteration")?,
-            effects: obj.str("effects")?,
-            severity: obj.f64("severity")?,
-            runtime_s: obj.f64("runtime_s")?,
-            energy_j: obj.f64("energy_j")?,
-            corrected_errors: obj.u64("corrected_errors")?,
-            uncorrected_errors: obj.u64("uncorrected_errors")?,
-        },
-        "SearchStep" => TraceEvent::SearchStep {
-            program: obj.str("program")?,
-            core: obj.u8("core")?,
-            strategy: obj.str("strategy")?,
-            phase: obj.str("phase")?,
-            step: obj.u32("step")?,
-            mv: obj.u32("mv")?,
-        },
-        "CacheLookup" => TraceEvent::CacheLookup {
-            program: obj.str("program")?,
-            dataset: obj.str("dataset")?,
-            core: obj.u8("core")?,
-            probe: obj.str("probe")?,
-            mv: obj.u32("mv")?,
-            hit: obj.bool("hit")?,
-        },
-        "SearchConcluded" => TraceEvent::SearchConcluded {
-            program: obj.str("program")?,
-            core: obj.u8("core")?,
-            strategy: obj.str("strategy")?,
-            probed_steps: obj.u32("probed_steps")?,
-            grid_steps: obj.u32("grid_steps")?,
-            cache_hits: obj.u32("cache_hits")?,
-        },
-        "EarlyStop" => TraceEvent::EarlyStop {
-            program: obj.str("program")?,
-            core: obj.u8("core")?,
-            mv: obj.u32("mv")?,
-            consecutive_all_sc: obj.u32("consecutive_all_sc")?,
-        },
-        "ProfileSample" => TraceEvent::ProfileSample {
-            program: obj.str("program")?,
-            dataset: obj.str("dataset")?,
-            core: obj.u8("core")?,
-            phase: obj.str("phase")?,
-            ops: obj.u64("ops")?,
-            fault_samples: obj.u64("fault_samples")?,
-            sram_events: obj.u64("sram_events")?,
-            cache_probes: obj.u64("cache_probes")?,
-            recoveries: obj.u64("recoveries")?,
-        },
-        "SweepFinished" => TraceEvent::SweepFinished {
-            program: obj.str("program")?,
-            dataset: obj.str("dataset")?,
-            core: obj.u8("core")?,
-            runs: obj.u32("runs")?,
-        },
-        "ProfilePhase" => TraceEvent::ProfilePhase {
-            phase: obj.str("phase")?,
-            sweeps: obj.u64("sweeps")?,
-            ops: obj.u64("ops")?,
-            fault_samples: obj.u64("fault_samples")?,
-            sram_events: obj.u64("sram_events")?,
-            cache_probes: obj.u64("cache_probes")?,
-            recoveries: obj.u64("recoveries")?,
-        },
-        "CampaignFinished" => TraceEvent::CampaignFinished {
-            runs: obj.u64("runs")?,
-            power_cycles: obj.u32("power_cycles")?,
-        },
-        "VoltageDecision" => TraceEvent::VoltageDecision {
-            voltage_mv: obj.u32("voltage_mv")?,
-            guardband_steps: obj.u32("guardband_steps")?,
-            relative_power: obj.f64("relative_power")?,
-            relative_performance: obj.f64("relative_performance")?,
-            energy_savings: obj.f64("energy_savings")?,
-        },
-        other => {
-            // Unreachable: the schema pass already rejected unknown tags.
-            return Err((Some("event".to_owned()), format!("unknown event '{other}'")));
-        }
+        seq,
+        t_model_s,
+        event,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::{TraceEvent, EVENT_NAMES};
     use crate::observer::StreamFinalizer;
 
     /// One sample per variant — keep in sync with [`TraceEvent`]; the
@@ -659,36 +268,43 @@ mod tests {
     #[test]
     fn schema_matches_every_serialized_variant() {
         let samples = sample_events();
-        assert_eq!(samples.len(), 18, "add new variants to sample_events()");
-        for event in samples {
-            let name = event.name();
-            let schema = event_schema(name).unwrap_or_else(|| panic!("no schema for {name}"));
+        assert_eq!(samples.len(), EVENT_NAMES.len());
+        for name in EVENT_NAMES {
+            let event = samples
+                .iter()
+                .find(|e| e.name() == *name)
+                .unwrap_or_else(|| panic!("add a {name} to sample_events()"));
+            let schema = payload_schema(name).unwrap_or_else(|| panic!("no schema for {name}"));
             let record = TraceRecord {
                 seq: 0,
                 t_model_s: 0.0,
-                event,
+                event: event.clone(),
             };
             let value = record.to_value().expect("serializable");
             let object = value.as_object().expect("flat object");
-            // Every serialized payload key (minus tag and envelope) is in
-            // the schema with an accepting kind, and vice versa.
-            let payload: Vec<&String> = object
+            // The serialized payload keys (minus tag and envelope) are
+            // exactly the schema's fields, and they decode back.
+            let mut payload: Vec<&str> = object
                 .keys()
-                .filter(|k| *k != "event" && *k != "seq" && *k != "t_model_s")
+                .map(String::as_str)
+                .filter(|k| !matches!(*k, "event" | "seq" | "t_model_s"))
                 .collect();
-            assert_eq!(payload.len(), schema.len(), "{name} field count");
-            for (field, kind) in schema {
-                let v = object
-                    .get(*field)
-                    .unwrap_or_else(|| panic!("{name}.{field} missing from serialization"));
-                assert!(
-                    kind.accepts(v),
-                    "{name}.{field}: {} rejected by schema",
-                    json::render(v)
-                );
-            }
+            let mut fields: Vec<&str> = schema.iter().map(|(field, _)| *field).collect();
+            payload.sort_unstable();
+            fields.sort_unstable();
+            assert_eq!(payload, fields, "{name} fields");
+            assert_eq!(decode_payload(name, object).as_ref(), Ok(event));
         }
-        assert!(event_schema("NoSuchEvent").is_none());
+        assert!(payload_schema("NoSuchEvent").is_none());
+    }
+
+    #[test]
+    fn sample_stream_bytes_are_pinned() {
+        let text = render(sample_events());
+        let fnv1a = text.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        });
+        assert_eq!(fnv1a, 0xc8b3_5468_faa9_338b, "trace bytes moved:\n{text}");
     }
 
     #[test]

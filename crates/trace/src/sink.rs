@@ -322,7 +322,7 @@ mod tests {
         assert!(text
             .lines()
             .next()
-            .map_or(false, |l| l.contains("\"event\":\"CampaignStarted\"")));
+            .is_some_and(|l| l.contains("\"event\":\"CampaignStarted\"")));
     }
 
     #[test]

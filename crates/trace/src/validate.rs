@@ -40,17 +40,7 @@ pub struct StreamStats {
 #[derive(Debug)]
 pub enum StreamError {
     /// A line failed to parse as a `TraceRecord`.
-    Parse {
-        /// 1-based line number.
-        line: usize,
-        /// 0-based index of the event in the stream (records parsed
-        /// successfully before this line).
-        event_index: u64,
-        /// The offending field, when the failure is attributable to one.
-        field: Option<String>,
-        /// Parser message.
-        message: String,
-    },
+    Parse(ParseFailure),
     /// A record's `seq` broke the dense 0-based ordering.
     Sequence {
         /// 1-based line number.
@@ -76,30 +66,14 @@ pub enum StreamError {
 
 impl From<ParseFailure> for StreamError {
     fn from(failure: ParseFailure) -> Self {
-        StreamError::Parse {
-            line: failure.line,
-            event_index: failure.event_index,
-            field: failure.field,
-            message: failure.message,
-        }
+        StreamError::Parse(failure)
     }
 }
 
 impl fmt::Display for StreamError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            StreamError::Parse {
-                line,
-                event_index,
-                field,
-                message,
-            } => {
-                write!(f, "line {line} (event {event_index})")?;
-                if let Some(field) = field {
-                    write!(f, ", field '{field}'")?;
-                }
-                write!(f, ": {message}")
-            }
+            StreamError::Parse(failure) => fmt::Display::fmt(failure, f),
             StreamError::Sequence {
                 line,
                 expected,
@@ -356,12 +330,12 @@ mod tests {
     fn garbage_line_reports_position_without_a_field() {
         let err = validate_jsonl("not json\n").expect_err("garbage");
         match &err {
-            StreamError::Parse {
+            StreamError::Parse(ParseFailure {
                 line: 1,
                 event_index: 0,
                 field: None,
                 ..
-            } => {}
+            }) => {}
             other => panic!("unexpected error {other:?}"),
         }
         assert!(err.to_string().starts_with("line 1 (event 0): "), "{err}");
@@ -380,12 +354,12 @@ mod tests {
         good = good.replace("\"runs\":0,", "");
         let err = validate_jsonl(&good).expect_err("missing field");
         match &err {
-            StreamError::Parse {
+            StreamError::Parse(ParseFailure {
                 line: 2,
                 event_index: 1,
                 field: Some(field),
                 ..
-            } => assert_eq!(field, "runs"),
+            }) => assert_eq!(field, "runs"),
             other => panic!("unexpected error {other:?}"),
         }
         assert!(err.to_string().contains("field 'runs'"), "{err}");
@@ -403,12 +377,12 @@ mod tests {
         let bad = good.replace("\"power_cycles\":0", "\"power_cycles\":\"zero\"");
         let err = validate_jsonl(&bad).expect_err("wrong type");
         match err {
-            StreamError::Parse {
+            StreamError::Parse(ParseFailure {
                 line: 2,
                 event_index: 1,
                 field: Some(field),
                 ..
-            } => assert_eq!(field, "power_cycles"),
+            }) => assert_eq!(field, "power_cycles"),
             other => panic!("unexpected error {other:?}"),
         }
     }
@@ -419,12 +393,12 @@ mod tests {
         let bad = good.replace("CampaignStarted", "CampaignImagined");
         let err = validate_jsonl(&bad).expect_err("unknown event");
         match err {
-            StreamError::Parse {
+            StreamError::Parse(ParseFailure {
                 line: 1,
                 event_index: 0,
                 field: Some(field),
                 message,
-            } => {
+            }) => {
                 assert_eq!(field, "event");
                 assert!(message.contains("CampaignImagined"), "{message}");
             }
