@@ -6,6 +6,10 @@
 //! Every inbound line is decoded with the total [`Request`] parser;
 //! undecodable frames are answered with a typed [`Response::Error`] and
 //! the connection stays up — a hostile peer can never panic the daemon.
+//! A line longer than [`MAX_FRAME_BYTES`] is the one exception: it is
+//! answered with a `frame-too-large` error frame and the connection is
+//! closed. The read itself is bounded, so the connection's line buffer
+//! never holds more than one byte past the cap.
 //!
 //! A `shutdown` frame stops the accept loop; in-flight chips finish, the
 //! shared campaign cache is published and saved (when a cache path was
@@ -20,12 +24,12 @@
 //! hold the daemon open across a shutdown; a subscriber disconnecting
 //! mid-job just tears down its own pumps.
 
-use crate::proto::{Request, Response, PROTO_VERSION};
+use crate::proto::{Request, Response, MAX_FRAME_BYTES, PROTO_VERSION};
 use crate::service::{FleetService, JobOutcome, Subscription, DEFAULT_SUBSCRIBER_QUEUE};
 use margins_core::cache::{CacheError, SharedCampaignCache};
 use margins_core::exec::ExecError;
 use std::fmt;
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -187,7 +191,10 @@ fn handle_connection(
         let mut reader = BufReader::new(read_half);
         let mut buf: Vec<u8> = Vec::new();
         loop {
-            match reader.read_until(b'\n', &mut buf) {
+            // Bound the read itself: `buf` holds at most one byte past
+            // the cap, however long the peer streams without a newline.
+            let room = (MAX_FRAME_BYTES + 1 - buf.len()) as u64;
+            match (&mut reader).take(room).read_until(b'\n', &mut buf) {
                 Ok(0) => {
                     // EOF; a final unterminated line is still a frame.
                     if !buf.is_empty() {
@@ -208,6 +215,10 @@ fn handle_connection(
                 }
                 Ok(_) => {
                     if buf.last() != Some(&b'\n') {
+                        if buf.len() > MAX_FRAME_BYTES {
+                            send_line(&writer, &frame_too_large().to_line());
+                            break;
+                        }
                         continue;
                     }
                     let line = String::from_utf8_lossy(&buf).into_owned();
@@ -410,6 +421,13 @@ fn respond(line: &str, service: &FleetService, out_dir: Option<&str>) -> (Respon
         ),
         Request::Shutdown => (Response::Bye, true),
     }
+}
+
+fn frame_too_large() -> Response {
+    error_frame(
+        "frame-too-large",
+        format!("frame exceeds {MAX_FRAME_BYTES} bytes; closing the connection"),
+    )
 }
 
 fn unknown_job(job: u64) -> Response {

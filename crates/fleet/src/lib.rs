@@ -33,7 +33,8 @@ pub mod service;
 
 pub use daemon::{serve, ServeConfig, ServeError};
 pub use proto::{
-    FleetEvent, FleetSpec, HealthSnapshot, ProtoError, Request, Response, SpecError, PROTO_VERSION,
+    FleetEvent, FleetSpec, HealthSnapshot, ProtoError, Request, Response, SpecError,
+    MAX_FRAME_BYTES, PROTO_VERSION,
 };
 pub use service::{
     FleetResults, FleetService, JobOutcome, JobStatus, Subscription, DEFAULT_SUBSCRIBER_QUEUE,

@@ -10,6 +10,11 @@
 //! fields, and unknown `kind`s all map to a typed [`ProtoError`] — the
 //! daemon never panics on untrusted bytes, and unknown kinds are rejected
 //! with the protocol version attached so old clients can diagnose a skew.
+//!
+//! Every frame is declared once, inside `wire_frames! { … }`: a variant
+//! names its wire token and its typed fields, and the declaration
+//! generates the enum, its token accessor, its encoder and its decoder.
+//! The per-type work lives in one `WireField` impl per field type.
 
 use margins_core::config::{CampaignConfig, ConfigError};
 use margins_core::search::SearchStrategy;
@@ -33,6 +38,12 @@ pub const PROTO_VERSION: u32 = 2;
 /// of simulated chips"; the bound turns an absurd request into a typed
 /// rejection instead of an allocation storm.
 pub const MAX_CHIPS: u32 = 65_536;
+
+/// Largest request frame the daemon reads, in bytes, not counting its
+/// newline. A longer line is answered with a `frame-too-large` error
+/// frame and the connection is closed, so a peer streaming bytes with no
+/// newline cannot grow the daemon's read buffer without bound.
+pub const MAX_FRAME_BYTES: usize = 1 << 20;
 
 /// What one fleet characterization request sweeps: a contiguous serial
 /// range of chips at one process corner, all running the same campaign
@@ -152,223 +163,415 @@ impl fmt::Display for SpecError {
 
 impl std::error::Error for SpecError {}
 
-/// One client→daemon frame.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Request {
-    /// Submit a fleet for characterization.
-    Submit {
-        /// Client name owning the resulting job and its streams.
-        client: String,
-        /// What to characterize.
-        spec: FleetSpec,
-    },
-    /// Ask for a job's progress.
-    Status {
-        /// Owning client.
-        client: String,
-        /// Job id from [`Response::Submitted`].
-        job: u64,
-    },
-    /// Cancel a job's queued chips.
-    Cancel {
-        /// Owning client.
-        client: String,
-        /// Job id.
-        job: u64,
-    },
-    /// Block until a job completes and fetch its merged streams.
-    Results {
-        /// Owning client.
-        client: String,
-        /// Job id.
-        job: u64,
-    },
-    /// Start streaming a job's live event frames over this connection.
-    Subscribe {
-        /// Owning client.
-        client: String,
-        /// Job id.
-        job: u64,
-    },
-    /// Stop streaming a job's event frames over this connection.
-    Unsubscribe {
-        /// Owning client.
-        client: String,
-        /// Job id.
-        job: u64,
-    },
-    /// Ask for a daemon liveness snapshot (runtime gauges).
-    Health,
-    /// Ask for the daemon's OpenMetrics text exposition.
-    Metrics,
-    /// Stop the daemon after in-flight chips finish.
-    Shutdown,
+/// Declares wire frames once and generates their codecs.
+///
+/// An `enum` names its discriminator field (`by kind`, `by what`); each
+/// variant names its wire token and is a unit variant, a braced variant
+/// of [`WireField`]s, or a one-element tuple variant whose [`WireObject`]
+/// payload is flattened into the frame. An optional trailing
+/// `_ => Variant { token: String }` keeps unknown tokens; without it an
+/// unknown token is [`ProtoError::UnknownKind`]. A `struct` declares a
+/// flattened payload.
+///
+/// Per item the macro emits the type, the token accessor named after the
+/// discriminator, and a [`WireObject`] impl whose decoder reads the
+/// fields in declaration order — so the first field reported missing or
+/// bad is the first declared. The codec logic itself lives in the plain
+/// functions below, which `margins-lint` (skipping `macro_rules!`
+/// bodies) still checks.
+macro_rules! wire_frames {
+    () => {};
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $name:ident by $tag:ident {
+            $(
+                $(#[$vmeta:meta])*
+                $variant:ident = $token:literal
+                $({ $($(#[$fmeta:meta])* $field:ident: $ty:ty),* $(,)? })?
+                $(($flat:ty))?
+            ),* $(,)?
+            $(
+                _ => $(#[$umeta:meta])*
+                $unknown:ident { $(#[$ufmeta:meta])* $ufield:ident: String $(,)? } $(,)?
+            )?
+        }
+        $($rest:tt)*
+    ) => {
+        $(#[$meta])*
+        $vis enum $name {
+            $(
+                $(#[$vmeta])*
+                $variant $({ $($(#[$fmeta])* $field: $ty,)* })? $(($flat))?,
+            )*
+            $(
+                $(#[$umeta])*
+                $unknown { $(#[$ufmeta])* $ufield: String },
+            )?
+        }
+
+        impl $name {
+            #[doc = concat!("The `", stringify!($tag), "` discriminator token on the wire.")]
+            #[must_use]
+            pub fn $tag(&self) -> &str {
+                match self {
+                    $(Self::$variant { .. } => $token,)*
+                    $(Self::$unknown { $ufield } => $ufield,)?
+                }
+            }
+        }
+
+        impl WireObject for $name {
+            fn put_fields(&self, map: &mut Fields) {
+                put_token(map, stringify!($tag), self.$tag());
+                match self {
+                    $(
+                        $(Self::$variant { $($field),* } => {
+                            $(WireField::put($field, map, stringify!($field));)*
+                        })?
+                        $(Self::$variant(flat) => <$flat as WireObject>::put_fields(flat, map),)?
+                    )*
+                    // Unit variants and the catch-all carry only the token.
+                    #[allow(unreachable_patterns)]
+                    _ => {}
+                }
+            }
+
+            fn take_fields(map: &Fields) -> Result<Self, ProtoError> {
+                let token = String::take(map, stringify!($tag))?;
+                Ok(match token.as_str() {
+                    $($token => Self::$variant
+                        $({ $($field: WireField::take(map, stringify!($field))?,)* })?
+                        $((<$flat as WireObject>::take_fields(map)?))?,)*
+                    $(_ => Self::$unknown { $ufield: token },)?
+                    #[allow(unreachable_patterns)]
+                    _ => return Err(unknown_kind(&token)),
+                })
+            }
+        }
+
+        wire_frames! { $($rest)* }
+    };
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $($(#[$fmeta:meta])* $fvis:vis $field:ident: $ty:ty),* $(,)?
+        }
+        $($rest:tt)*
+    ) => {
+        $(#[$meta])*
+        $vis struct $name {
+            $($(#[$fmeta])* $fvis $field: $ty,)*
+        }
+
+        impl WireObject for $name {
+            fn put_fields(&self, map: &mut Fields) {
+                $(WireField::put(&self.$field, map, stringify!($field));)*
+            }
+
+            fn take_fields(map: &Fields) -> Result<Self, ProtoError> {
+                Ok(Self {
+                    $($field: WireField::take(map, stringify!($field))?,)*
+                })
+            }
+        }
+
+        wire_frames! { $($rest)* }
+    };
 }
 
-/// A point-in-time snapshot of the daemon's runtime gauges, answered to
-/// [`Request::Health`]. Every field is a *gauge* — it reflects scheduling
-/// luck at the instant of the request and is deliberately kept out of the
-/// deterministic counter section of the metrics exposition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct HealthSnapshot {
-    /// Configured scheduler worker threads.
-    pub workers: u32,
-    /// Workers currently characterizing a chip.
-    pub busy: u32,
-    /// Chip units waiting in per-client queues.
-    pub queued_units: u64,
-    /// Jobs admitted but not yet dispatched.
-    pub jobs_queued: u32,
-    /// Jobs with at least one dispatched chip and work remaining.
-    pub jobs_running: u32,
-    /// Jobs whose every chip completed.
-    pub jobs_done: u32,
-    /// Jobs cancelled before completing.
-    pub jobs_cancelled: u32,
-    /// Jobs that failed with an executor error.
-    pub jobs_failed: u32,
-    /// Live event subscriptions.
-    pub subscribers: u32,
-}
+wire_frames! {
+    /// One client→daemon frame.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum Request by kind {
+        /// Submit a fleet for characterization.
+        Submit = "submit" {
+            /// Client name owning the resulting job and its streams.
+            client: String,
+            /// What to characterize.
+            spec: FleetSpec,
+        },
+        /// Ask for a job's progress.
+        Status = "status" {
+            /// Owning client.
+            client: String,
+            /// Job id from [`Response::Submitted`].
+            job: u64,
+        },
+        /// Cancel a job's queued chips.
+        Cancel = "cancel" {
+            /// Owning client.
+            client: String,
+            /// Job id.
+            job: u64,
+        },
+        /// Block until a job completes and fetch its merged streams.
+        Results = "results" {
+            /// Owning client.
+            client: String,
+            /// Job id.
+            job: u64,
+        },
+        /// Start streaming a job's live event frames over this connection.
+        Subscribe = "subscribe" {
+            /// Owning client.
+            client: String,
+            /// Job id.
+            job: u64,
+        },
+        /// Stop streaming a job's event frames over this connection.
+        Unsubscribe = "unsubscribe" {
+            /// Owning client.
+            client: String,
+            /// Job id.
+            job: u64,
+        },
+        /// Ask for a daemon liveness snapshot (runtime gauges).
+        Health = "health",
+        /// Ask for the daemon's OpenMetrics text exposition.
+        Metrics = "metrics",
+        /// Stop the daemon after in-flight chips finish.
+        Shutdown = "shutdown",
+    }
 
-/// One server-pushed telemetry frame (`"kind":"event"` on the wire, with
-/// a `"what"` sub-discriminator).
-///
-/// Event payloads are derived from the same deterministic `TraceEvent`
-/// stream the job's artifacts are built from: every
-/// [`FleetEvent::ChipFinished`] carries that chip's complete sealed JSONL
-/// stream, so a fully received subscription re-sealed through
-/// `merge_streams` in ascending chip order is byte-identical to the job's
-/// merged trace artifact.
-///
-/// Unknown `what` tokens decode to [`FleetEvent::Unknown`] rather than a
-/// [`ProtoError`]: a version-aware client skips event kinds it does not
-/// speak while still hard-rejecting unknown top-level frame kinds.
-#[derive(Debug, Clone, PartialEq)]
-pub enum FleetEvent {
-    /// A job was admitted to the scheduler.
-    JobQueued {
-        /// Job id.
-        job: u64,
-        /// Owning client.
-        client: String,
-        /// Chips the job will characterize.
-        chips: u32,
-    },
-    /// The first chip of a job was dispatched to a worker.
-    JobStarted {
-        /// Job id.
-        job: u64,
-    },
-    /// A chip was dispatched to a worker.
-    ChipStarted {
-        /// Job id.
-        job: u64,
-        /// Canonical chip index within the job.
-        chip: u32,
-        /// Chip identity, e.g. `TTT#40`.
-        chip_id: String,
-    },
-    /// A (benchmark, core) sweep of a chip finished.
-    SweepProgress {
-        /// Job id.
-        job: u64,
-        /// Canonical chip index within the job.
-        chip: u32,
-        /// Benchmark name.
-        program: String,
-        /// Input dataset label.
-        dataset: String,
-        /// Target core index.
-        core: u8,
-        /// Classified runs the sweep produced.
-        runs: u64,
-    },
-    /// A chip completed; carries the chip's sealed per-chip trace.
-    ChipFinished {
-        /// Job id.
-        job: u64,
-        /// Canonical chip index within the job.
-        chip: u32,
-        /// Chip identity, e.g. `TTT#40`.
-        chip_id: String,
-        /// Classified runs on this chip.
-        runs: u64,
-        /// Watchdog power cycles on this chip.
-        power_cycles: u64,
-        /// The chip's binding Vmin (max over its sweeps), absent when
-        /// even the highest probed step misbehaved (censored).
-        vmin_mv: Option<u32>,
-        /// Sum of per-run severity contributions on this chip.
-        severity_sum: f64,
-        /// Campaign-cache lookups that hit.
-        cache_hits: u64,
-        /// Campaign-cache lookups issued.
-        cache_lookups: u64,
-        /// The chip's own sealed margins-trace JSONL stream.
-        trace: String,
-    },
-    /// Every chip of a job completed.
-    JobFinished {
-        /// Job id.
-        job: u64,
-        /// Chips characterized.
-        chips: u32,
-        /// Classified runs over the whole job.
-        runs: u64,
-        /// Watchdog power cycles over the whole job.
-        power_cycles: u64,
-    },
-    /// A job was cancelled; `done` of `total` chips had completed.
-    JobCancelled {
-        /// Job id.
-        job: u64,
-        /// Chips that completed before the cancel.
-        done: u32,
-        /// Chips total.
-        total: u32,
-    },
-    /// A job failed with an executor error.
-    JobFailed {
-        /// Job id.
-        job: u64,
-        /// The error rendered for operators.
-        message: String,
-    },
-    /// The subscriber's bounded queue overflowed; `dropped` events were
-    /// discarded since the last delivered frame.
-    Lagged {
-        /// Job id.
-        job: u64,
-        /// Exact count of dropped events.
-        dropped: u64,
-    },
-    /// An event kind this protocol version does not speak; skipped by
-    /// version-aware clients.
-    Unknown {
-        /// The unrecognized `what` token.
-        what: String,
-    },
+    /// A point-in-time snapshot of the daemon's runtime gauges, answered to
+    /// [`Request::Health`]. Every field is a *gauge* — it reflects scheduling
+    /// luck at the instant of the request and is deliberately kept out of the
+    /// deterministic counter section of the metrics exposition.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct HealthSnapshot {
+        /// Configured scheduler worker threads.
+        pub workers: u32,
+        /// Workers currently characterizing a chip.
+        pub busy: u32,
+        /// Chip units waiting in per-client queues.
+        pub queued_units: u64,
+        /// Jobs admitted but not yet dispatched.
+        pub jobs_queued: u32,
+        /// Jobs with at least one dispatched chip and work remaining.
+        pub jobs_running: u32,
+        /// Jobs whose every chip completed.
+        pub jobs_done: u32,
+        /// Jobs cancelled before completing.
+        pub jobs_cancelled: u32,
+        /// Jobs that failed with an executor error.
+        pub jobs_failed: u32,
+        /// Live event subscriptions.
+        pub subscribers: u32,
+    }
+
+    /// One server-pushed telemetry frame (`"kind":"event"` on the wire, with
+    /// a `"what"` sub-discriminator).
+    ///
+    /// Event payloads are derived from the same deterministic `TraceEvent`
+    /// stream the job's artifacts are built from: every
+    /// [`FleetEvent::ChipFinished`] carries that chip's complete sealed JSONL
+    /// stream, so a fully received subscription re-sealed through
+    /// `merge_streams` in ascending chip order is byte-identical to the job's
+    /// merged trace artifact.
+    ///
+    /// Unknown `what` tokens decode to [`FleetEvent::Unknown`] rather than a
+    /// [`ProtoError`]: a version-aware client skips event kinds it does not
+    /// speak while still hard-rejecting unknown top-level frame kinds.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum FleetEvent by what {
+        /// A job was admitted to the scheduler.
+        JobQueued = "job-queued" {
+            /// Job id.
+            job: u64,
+            /// Owning client.
+            client: String,
+            /// Chips the job will characterize.
+            chips: u32,
+        },
+        /// The first chip of a job was dispatched to a worker.
+        JobStarted = "job-started" {
+            /// Job id.
+            job: u64,
+        },
+        /// A chip was dispatched to a worker.
+        ChipStarted = "chip-started" {
+            /// Job id.
+            job: u64,
+            /// Canonical chip index within the job.
+            chip: u32,
+            /// Chip identity, e.g. `TTT#40`.
+            chip_id: String,
+        },
+        /// A (benchmark, core) sweep of a chip finished.
+        SweepProgress = "sweep-progress" {
+            /// Job id.
+            job: u64,
+            /// Canonical chip index within the job.
+            chip: u32,
+            /// Benchmark name.
+            program: String,
+            /// Input dataset label.
+            dataset: String,
+            /// Target core index.
+            core: u8,
+            /// Classified runs the sweep produced.
+            runs: u64,
+        },
+        /// A chip completed; carries the chip's sealed per-chip trace.
+        ChipFinished = "chip-finished" {
+            /// Job id.
+            job: u64,
+            /// Canonical chip index within the job.
+            chip: u32,
+            /// Chip identity, e.g. `TTT#40`.
+            chip_id: String,
+            /// Classified runs on this chip.
+            runs: u64,
+            /// Watchdog power cycles on this chip.
+            power_cycles: u64,
+            /// The chip's binding Vmin (max over its sweeps), absent when
+            /// even the highest probed step misbehaved (censored).
+            vmin_mv: Option<u32>,
+            /// Sum of per-run severity contributions on this chip.
+            severity_sum: f64,
+            /// Campaign-cache lookups that hit.
+            cache_hits: u64,
+            /// Campaign-cache lookups issued.
+            cache_lookups: u64,
+            /// The chip's own sealed margins-trace JSONL stream.
+            trace: String,
+        },
+        /// Every chip of a job completed.
+        JobFinished = "job-finished" {
+            /// Job id.
+            job: u64,
+            /// Chips characterized.
+            chips: u32,
+            /// Classified runs over the whole job.
+            runs: u64,
+            /// Watchdog power cycles over the whole job.
+            power_cycles: u64,
+        },
+        /// A job was cancelled; `done` of `total` chips had completed.
+        JobCancelled = "job-cancelled" {
+            /// Job id.
+            job: u64,
+            /// Chips that completed before the cancel.
+            done: u32,
+            /// Chips total.
+            total: u32,
+        },
+        /// A job failed with an executor error.
+        JobFailed = "job-failed" {
+            /// Job id.
+            job: u64,
+            /// The error rendered for operators.
+            message: String,
+        },
+        /// The subscriber's bounded queue overflowed; `dropped` events were
+        /// discarded since the last delivered frame.
+        Lagged = "lagged" {
+            /// Job id.
+            job: u64,
+            /// Exact count of dropped events.
+            dropped: u64,
+        },
+        _ =>
+            /// An event kind this protocol version does not speak; skipped by
+            /// version-aware clients.
+            Unknown {
+                /// The unrecognized `what` token.
+                what: String,
+            },
+    }
+
+    /// One daemon→client frame.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Response by kind {
+        /// A submit was accepted.
+        Submitted = "submitted" {
+            /// The job id for follow-up requests.
+            job: u64,
+            /// Chips the job will characterize.
+            chips: u32,
+        },
+        /// A job's progress.
+        Status = "status" {
+            /// Job id.
+            job: u64,
+            /// `"queued"`, `"running"`, `"done"`, `"failed"` or
+            /// `"cancelled"`.
+            state: String,
+            /// Chips completed.
+            done: u32,
+            /// Chips total.
+            total: u32,
+            /// Chip units ahead of this job's first pending unit in its
+            /// client's FIFO queue (0 when nothing of the job is queued).
+            queue_position: u32,
+            /// Completion fraction, `done / total`.
+            progress: f64,
+        },
+        /// A cancel took effect; `done` of `total` chips had completed and
+        /// their partial results are retained with the job.
+        Cancelled = "cancelled" {
+            /// Job id.
+            job: u64,
+            /// Chips that completed before the cancel.
+            done: u32,
+            /// Chips total.
+            total: u32,
+        },
+        /// A subscription started; `event` frames for the job follow on this
+        /// connection.
+        Subscribed = "subscribed" {
+            /// Job id.
+            job: u64,
+        },
+        /// A subscription ended; no further `event` frames for the job will
+        /// be pushed on this connection.
+        Unsubscribed = "unsubscribed" {
+            /// Job id.
+            job: u64,
+        },
+        /// The daemon's runtime gauges.
+        Health = "health" (HealthSnapshot),
+        /// The daemon's OpenMetrics text exposition.
+        Metrics = "metrics" {
+            /// The exposition body (ends with `# EOF`).
+            body: String,
+        },
+        /// A server-pushed telemetry frame for a subscribed job.
+        Event = "event" (FleetEvent),
+        /// A completed job's merged deterministic outputs.
+        Results = "results" {
+            /// Job id.
+            job: u64,
+            /// Chips characterized.
+            chips: u32,
+            /// Classified runs over the whole fleet.
+            runs: u64,
+            /// Watchdog power cycles over the whole fleet.
+            power_cycles: u64,
+            /// Kernel ops executed on simulated boards — 0 for a fully warm
+            /// cache replay.
+            executed_ops: u64,
+            /// The merged margins-trace JSONL stream (canonical chip order).
+            trace: String,
+            /// The OpenMetrics exposition of the merged stream.
+            metrics: String,
+        },
+        /// The daemon acknowledged a shutdown.
+        Bye = "bye",
+        /// A request was rejected.
+        Error = "error" {
+            /// Protocol version of the daemon ([`PROTO_VERSION`]).
+            proto: u32,
+            /// Stable machine-readable code (see [`ProtoError::code`] and the
+            /// daemon's own codes).
+            code: String,
+            /// Human-readable detail.
+            message: String,
+        },
+    }
 }
 
 impl FleetEvent {
-    /// The `what` sub-discriminator token on the wire.
-    #[must_use]
-    pub fn what(&self) -> &str {
-        match self {
-            FleetEvent::JobQueued { .. } => "job-queued",
-            FleetEvent::JobStarted { .. } => "job-started",
-            FleetEvent::ChipStarted { .. } => "chip-started",
-            FleetEvent::SweepProgress { .. } => "sweep-progress",
-            FleetEvent::ChipFinished { .. } => "chip-finished",
-            FleetEvent::JobFinished { .. } => "job-finished",
-            FleetEvent::JobCancelled { .. } => "job-cancelled",
-            FleetEvent::JobFailed { .. } => "job-failed",
-            FleetEvent::Lagged { .. } => "lagged",
-            FleetEvent::Unknown { what } => what,
-        }
-    }
-
     /// The job the event belongs to; `None` for [`FleetEvent::Unknown`].
     #[must_use]
     pub fn job(&self) -> Option<u64> {
@@ -387,94 +590,39 @@ impl FleetEvent {
     }
 }
 
-/// One daemon→client frame.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Response {
-    /// A submit was accepted.
-    Submitted {
-        /// The job id for follow-up requests.
-        job: u64,
-        /// Chips the job will characterize.
-        chips: u32,
-    },
-    /// A job's progress.
-    Status {
-        /// Job id.
-        job: u64,
-        /// `"queued"`, `"running"`, `"done"`, `"failed"` or
-        /// `"cancelled"`.
-        state: String,
-        /// Chips completed.
-        done: u32,
-        /// Chips total.
-        total: u32,
-        /// Chip units ahead of this job's first pending unit in its
-        /// client's FIFO queue (0 when nothing of the job is queued).
-        queue_position: u32,
-        /// Completion fraction, `done / total`.
-        progress: f64,
-    },
-    /// A cancel took effect; `done` of `total` chips had completed and
-    /// their partial results are retained with the job.
-    Cancelled {
-        /// Job id.
-        job: u64,
-        /// Chips that completed before the cancel.
-        done: u32,
-        /// Chips total.
-        total: u32,
-    },
-    /// A subscription started; `event` frames for the job follow on this
-    /// connection.
-    Subscribed {
-        /// Job id.
-        job: u64,
-    },
-    /// A subscription ended; no further `event` frames for the job will
-    /// be pushed on this connection.
-    Unsubscribed {
-        /// Job id.
-        job: u64,
-    },
-    /// The daemon's runtime gauges.
-    Health(HealthSnapshot),
-    /// The daemon's OpenMetrics text exposition.
-    Metrics {
-        /// The exposition body (ends with `# EOF`).
-        body: String,
-    },
-    /// A server-pushed telemetry frame for a subscribed job.
-    Event(FleetEvent),
-    /// A completed job's merged deterministic outputs.
-    Results {
-        /// Job id.
-        job: u64,
-        /// Chips characterized.
-        chips: u32,
-        /// Classified runs over the whole fleet.
-        runs: u64,
-        /// Watchdog power cycles over the whole fleet.
-        power_cycles: u64,
-        /// Kernel ops executed on simulated boards — 0 for a fully warm
-        /// cache replay.
-        executed_ops: u64,
-        /// The merged margins-trace JSONL stream (canonical chip order).
-        trace: String,
-        /// The OpenMetrics exposition of the merged stream.
-        metrics: String,
-    },
-    /// The daemon acknowledged a shutdown.
-    Bye,
-    /// A request was rejected.
-    Error {
-        /// Protocol version of the daemon ([`PROTO_VERSION`]).
-        proto: u32,
-        /// Stable machine-readable code (see [`ProtoError::code`] and the
-        /// daemon's own codes).
-        code: String,
-        /// Human-readable detail.
-        message: String,
-    },
+impl Request {
+    /// Encodes the request as its single wire line (no trailing newline).
+    #[must_use]
+    pub fn to_line(&self) -> String {
+        encode(self)
+    }
+
+    /// Decodes one wire line.
+    ///
+    /// # Errors
+    ///
+    /// A typed [`ProtoError`] for anything other than a well-formed frame
+    /// of a known kind; never panics on untrusted bytes.
+    pub fn parse_line(line: &str) -> Result<Request, ProtoError> {
+        decode(line)
+    }
+}
+
+impl Response {
+    /// Encodes the response as its single wire line (no trailing newline).
+    #[must_use]
+    pub fn to_line(&self) -> String {
+        encode(self)
+    }
+
+    /// Decodes one wire line.
+    ///
+    /// # Errors
+    ///
+    /// A typed [`ProtoError`]; never panics on untrusted bytes.
+    pub fn parse_line(line: &str) -> Result<Response, ProtoError> {
+        decode(line)
+    }
 }
 
 /// A frame that failed to decode.
@@ -573,610 +721,233 @@ pub fn parse_corner(token: &str) -> Option<Corner> {
 }
 
 // ---------------------------------------------------------------------
-// Encoding
+// The codec behind `wire_frames!`
 // ---------------------------------------------------------------------
 
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Object(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_owned(), v))
-            .collect::<BTreeMap<String, Value>>(),
-    )
+/// A frame's JSON object: field name to value, in canonical key order.
+type Fields = BTreeMap<String, Value>;
+
+/// A value that encodes as the fields of one JSON object: a whole frame,
+/// or a payload flattened into its frame.
+trait WireObject: Sized {
+    /// Writes every field, an enum's discriminator token included.
+    fn put_fields(&self, map: &mut Fields);
+
+    /// Reads every field back, in declaration order.
+    fn take_fields(map: &Fields) -> Result<Self, ProtoError>;
 }
 
-fn spec_value(spec: &FleetSpec) -> Value {
-    obj(vec![
-        ("corner", Value::from_str_val(corner_token(spec.corner))),
-        ("first_serial", Value::from_u64(spec.first_serial)),
-        ("chips", Value::from_u64(u64::from(spec.chips))),
-        (
-            "benchmarks",
-            Value::Array(
-                spec.benchmarks
-                    .iter()
-                    .map(|b| Value::from_str_val(b))
-                    .collect(),
-            ),
-        ),
-        (
-            "cores",
-            Value::Array(
-                spec.cores
-                    .iter()
-                    .map(|&c| Value::from_u64(u64::from(c)))
-                    .collect(),
-            ),
-        ),
-        ("iterations", Value::from_u64(u64::from(spec.iterations))),
-        ("start_mv", Value::from_u64(u64::from(spec.start_mv))),
-        ("floor_mv", Value::from_u64(u64::from(spec.floor_mv))),
-        ("seed", Value::from_u64(spec.seed)),
-        ("search", Value::from_str_val(spec.search.name())),
-    ])
+/// One typed field of a frame.
+trait WireField: Sized {
+    /// Writes the value under `name`; an absent optional writes nothing.
+    fn put(&self, map: &mut Fields, name: &str);
+
+    /// Reads the field `name`.
+    fn take(map: &Fields, name: &str) -> Result<Self, ProtoError>;
 }
 
-impl Request {
-    /// Encodes the request as its single wire line (no trailing newline).
-    #[must_use]
-    pub fn to_line(&self) -> String {
-        let value = match self {
-            Request::Submit { client, spec } => obj(vec![
-                ("kind", Value::from_str_val("submit")),
-                ("client", Value::from_str_val(client)),
-                ("spec", spec_value(spec)),
-            ]),
-            Request::Status { client, job } => obj(vec![
-                ("kind", Value::from_str_val("status")),
-                ("client", Value::from_str_val(client)),
-                ("job", Value::from_u64(*job)),
-            ]),
-            Request::Cancel { client, job } => obj(vec![
-                ("kind", Value::from_str_val("cancel")),
-                ("client", Value::from_str_val(client)),
-                ("job", Value::from_u64(*job)),
-            ]),
-            Request::Results { client, job } => obj(vec![
-                ("kind", Value::from_str_val("results")),
-                ("client", Value::from_str_val(client)),
-                ("job", Value::from_u64(*job)),
-            ]),
-            Request::Subscribe { client, job } => obj(vec![
-                ("kind", Value::from_str_val("subscribe")),
-                ("client", Value::from_str_val(client)),
-                ("job", Value::from_u64(*job)),
-            ]),
-            Request::Unsubscribe { client, job } => obj(vec![
-                ("kind", Value::from_str_val("unsubscribe")),
-                ("client", Value::from_str_val(client)),
-                ("job", Value::from_u64(*job)),
-            ]),
-            Request::Health => obj(vec![("kind", Value::from_str_val("health"))]),
-            Request::Metrics => obj(vec![("kind", Value::from_str_val("metrics"))]),
-            Request::Shutdown => obj(vec![("kind", Value::from_str_val("shutdown"))]),
-        };
-        json::render(&value)
-    }
-
-    /// Decodes one wire line.
-    ///
-    /// # Errors
-    ///
-    /// A typed [`ProtoError`] for anything other than a well-formed frame
-    /// of a known kind; never panics on untrusted bytes.
-    pub fn parse_line(line: &str) -> Result<Request, ProtoError> {
-        let fields = parse_frame(line)?;
-        match str_field(&fields, "kind")? {
-            "submit" => Ok(Request::Submit {
-                client: str_field(&fields, "client")?.to_owned(),
-                spec: spec_of(object_field(&fields, "spec")?)?,
-            }),
-            "status" => Ok(Request::Status {
-                client: str_field(&fields, "client")?.to_owned(),
-                job: u64_field(&fields, "job")?,
-            }),
-            "cancel" => Ok(Request::Cancel {
-                client: str_field(&fields, "client")?.to_owned(),
-                job: u64_field(&fields, "job")?,
-            }),
-            "results" => Ok(Request::Results {
-                client: str_field(&fields, "client")?.to_owned(),
-                job: u64_field(&fields, "job")?,
-            }),
-            "subscribe" => Ok(Request::Subscribe {
-                client: str_field(&fields, "client")?.to_owned(),
-                job: u64_field(&fields, "job")?,
-            }),
-            "unsubscribe" => Ok(Request::Unsubscribe {
-                client: str_field(&fields, "client")?.to_owned(),
-                job: u64_field(&fields, "job")?,
-            }),
-            "health" => Ok(Request::Health),
-            "metrics" => Ok(Request::Metrics),
-            "shutdown" => Ok(Request::Shutdown),
-            other => Err(ProtoError::UnknownKind {
-                kind: other.to_owned(),
-                proto: PROTO_VERSION,
-            }),
-        }
-    }
+fn encode(frame: &impl WireObject) -> String {
+    let mut map = Fields::new();
+    frame.put_fields(&mut map);
+    json::render(&Value::Object(map))
 }
 
-impl Response {
-    /// Encodes the response as its single wire line (no trailing newline).
-    #[must_use]
-    pub fn to_line(&self) -> String {
-        let value = match self {
-            Response::Submitted { job, chips } => obj(vec![
-                ("kind", Value::from_str_val("submitted")),
-                ("job", Value::from_u64(*job)),
-                ("chips", Value::from_u64(u64::from(*chips))),
-            ]),
-            Response::Status {
-                job,
-                state,
-                done,
-                total,
-                queue_position,
-                progress,
-            } => obj(vec![
-                ("kind", Value::from_str_val("status")),
-                ("job", Value::from_u64(*job)),
-                ("state", Value::from_str_val(state)),
-                ("done", Value::from_u64(u64::from(*done))),
-                ("total", Value::from_u64(u64::from(*total))),
-                (
-                    "queue_position",
-                    Value::from_u64(u64::from(*queue_position)),
-                ),
-                ("progress", Value::from_f64(*progress)),
-            ]),
-            Response::Cancelled { job, done, total } => obj(vec![
-                ("kind", Value::from_str_val("cancelled")),
-                ("job", Value::from_u64(*job)),
-                ("done", Value::from_u64(u64::from(*done))),
-                ("total", Value::from_u64(u64::from(*total))),
-            ]),
-            Response::Subscribed { job } => obj(vec![
-                ("kind", Value::from_str_val("subscribed")),
-                ("job", Value::from_u64(*job)),
-            ]),
-            Response::Unsubscribed { job } => obj(vec![
-                ("kind", Value::from_str_val("unsubscribed")),
-                ("job", Value::from_u64(*job)),
-            ]),
-            Response::Health(h) => obj(vec![
-                ("kind", Value::from_str_val("health")),
-                ("workers", Value::from_u64(u64::from(h.workers))),
-                ("busy", Value::from_u64(u64::from(h.busy))),
-                ("queued_units", Value::from_u64(h.queued_units)),
-                ("jobs_queued", Value::from_u64(u64::from(h.jobs_queued))),
-                ("jobs_running", Value::from_u64(u64::from(h.jobs_running))),
-                ("jobs_done", Value::from_u64(u64::from(h.jobs_done))),
-                (
-                    "jobs_cancelled",
-                    Value::from_u64(u64::from(h.jobs_cancelled)),
-                ),
-                ("jobs_failed", Value::from_u64(u64::from(h.jobs_failed))),
-                ("subscribers", Value::from_u64(u64::from(h.subscribers))),
-            ]),
-            Response::Metrics { body } => obj(vec![
-                ("kind", Value::from_str_val("metrics")),
-                ("body", Value::from_str_val(body)),
-            ]),
-            Response::Event(event) => event_value(event),
-            Response::Results {
-                job,
-                chips,
-                runs,
-                power_cycles,
-                executed_ops,
-                trace,
-                metrics,
-            } => obj(vec![
-                ("kind", Value::from_str_val("results")),
-                ("job", Value::from_u64(*job)),
-                ("chips", Value::from_u64(u64::from(*chips))),
-                ("runs", Value::from_u64(*runs)),
-                ("power_cycles", Value::from_u64(*power_cycles)),
-                ("executed_ops", Value::from_u64(*executed_ops)),
-                ("trace", Value::from_str_val(trace)),
-                ("metrics", Value::from_str_val(metrics)),
-            ]),
-            Response::Bye => obj(vec![("kind", Value::from_str_val("bye"))]),
-            Response::Error {
-                proto,
-                code,
-                message,
-            } => obj(vec![
-                ("kind", Value::from_str_val("error")),
-                ("proto", Value::from_u64(u64::from(*proto))),
-                ("code", Value::from_str_val(code)),
-                ("message", Value::from_str_val(message)),
-            ]),
-        };
-        json::render(&value)
-    }
-
-    /// Decodes one wire line.
-    ///
-    /// # Errors
-    ///
-    /// A typed [`ProtoError`]; never panics on untrusted bytes.
-    pub fn parse_line(line: &str) -> Result<Response, ProtoError> {
-        let fields = parse_frame(line)?;
-        match str_field(&fields, "kind")? {
-            "submitted" => Ok(Response::Submitted {
-                job: u64_field(&fields, "job")?,
-                chips: u32_field(&fields, "chips")?,
-            }),
-            "status" => Ok(Response::Status {
-                job: u64_field(&fields, "job")?,
-                state: str_field(&fields, "state")?.to_owned(),
-                done: u32_field(&fields, "done")?,
-                total: u32_field(&fields, "total")?,
-                queue_position: u32_field(&fields, "queue_position")?,
-                progress: f64_field(&fields, "progress")?,
-            }),
-            "cancelled" => Ok(Response::Cancelled {
-                job: u64_field(&fields, "job")?,
-                done: u32_field(&fields, "done")?,
-                total: u32_field(&fields, "total")?,
-            }),
-            "subscribed" => Ok(Response::Subscribed {
-                job: u64_field(&fields, "job")?,
-            }),
-            "unsubscribed" => Ok(Response::Unsubscribed {
-                job: u64_field(&fields, "job")?,
-            }),
-            "health" => Ok(Response::Health(HealthSnapshot {
-                workers: u32_field(&fields, "workers")?,
-                busy: u32_field(&fields, "busy")?,
-                queued_units: u64_field(&fields, "queued_units")?,
-                jobs_queued: u32_field(&fields, "jobs_queued")?,
-                jobs_running: u32_field(&fields, "jobs_running")?,
-                jobs_done: u32_field(&fields, "jobs_done")?,
-                jobs_cancelled: u32_field(&fields, "jobs_cancelled")?,
-                jobs_failed: u32_field(&fields, "jobs_failed")?,
-                subscribers: u32_field(&fields, "subscribers")?,
-            })),
-            "metrics" => Ok(Response::Metrics {
-                body: str_field(&fields, "body")?.to_owned(),
-            }),
-            "event" => Ok(Response::Event(event_of(&fields)?)),
-            "results" => Ok(Response::Results {
-                job: u64_field(&fields, "job")?,
-                chips: u32_field(&fields, "chips")?,
-                runs: u64_field(&fields, "runs")?,
-                power_cycles: u64_field(&fields, "power_cycles")?,
-                executed_ops: u64_field(&fields, "executed_ops")?,
-                trace: str_field(&fields, "trace")?.to_owned(),
-                metrics: str_field(&fields, "metrics")?.to_owned(),
-            }),
-            "bye" => Ok(Response::Bye),
-            "error" => Ok(Response::Error {
-                proto: u32_field(&fields, "proto")?,
-                code: str_field(&fields, "code")?.to_owned(),
-                message: str_field(&fields, "message")?.to_owned(),
-            }),
-            other => Err(ProtoError::UnknownKind {
-                kind: other.to_owned(),
-                proto: PROTO_VERSION,
-            }),
-        }
-    }
-}
-
-/// Encodes a [`FleetEvent`] as its `"kind":"event"` wire object.
-fn event_value(event: &FleetEvent) -> Value {
-    let mut fields = vec![
-        ("kind", Value::from_str_val("event")),
-        ("what", Value::from_str_val(event.what())),
-    ];
-    match event {
-        FleetEvent::JobQueued { job, client, chips } => {
-            fields.push(("job", Value::from_u64(*job)));
-            fields.push(("client", Value::from_str_val(client)));
-            fields.push(("chips", Value::from_u64(u64::from(*chips))));
-        }
-        FleetEvent::JobStarted { job } => {
-            fields.push(("job", Value::from_u64(*job)));
-        }
-        FleetEvent::ChipStarted { job, chip, chip_id } => {
-            fields.push(("job", Value::from_u64(*job)));
-            fields.push(("chip", Value::from_u64(u64::from(*chip))));
-            fields.push(("chip_id", Value::from_str_val(chip_id)));
-        }
-        FleetEvent::SweepProgress {
-            job,
-            chip,
-            program,
-            dataset,
-            core,
-            runs,
-        } => {
-            fields.push(("job", Value::from_u64(*job)));
-            fields.push(("chip", Value::from_u64(u64::from(*chip))));
-            fields.push(("program", Value::from_str_val(program)));
-            fields.push(("dataset", Value::from_str_val(dataset)));
-            fields.push(("core", Value::from_u64(u64::from(*core))));
-            fields.push(("runs", Value::from_u64(*runs)));
-        }
-        FleetEvent::ChipFinished {
-            job,
-            chip,
-            chip_id,
-            runs,
-            power_cycles,
-            vmin_mv,
-            severity_sum,
-            cache_hits,
-            cache_lookups,
-            trace,
-        } => {
-            fields.push(("job", Value::from_u64(*job)));
-            fields.push(("chip", Value::from_u64(u64::from(*chip))));
-            fields.push(("chip_id", Value::from_str_val(chip_id)));
-            fields.push(("runs", Value::from_u64(*runs)));
-            fields.push(("power_cycles", Value::from_u64(*power_cycles)));
-            if let Some(mv) = vmin_mv {
-                fields.push(("vmin_mv", Value::from_u64(u64::from(*mv))));
-            }
-            fields.push(("severity_sum", Value::from_f64(*severity_sum)));
-            fields.push(("cache_hits", Value::from_u64(*cache_hits)));
-            fields.push(("cache_lookups", Value::from_u64(*cache_lookups)));
-            fields.push(("trace", Value::from_str_val(trace)));
-        }
-        FleetEvent::JobFinished {
-            job,
-            chips,
-            runs,
-            power_cycles,
-        } => {
-            fields.push(("job", Value::from_u64(*job)));
-            fields.push(("chips", Value::from_u64(u64::from(*chips))));
-            fields.push(("runs", Value::from_u64(*runs)));
-            fields.push(("power_cycles", Value::from_u64(*power_cycles)));
-        }
-        FleetEvent::JobCancelled { job, done, total } => {
-            fields.push(("job", Value::from_u64(*job)));
-            fields.push(("done", Value::from_u64(u64::from(*done))));
-            fields.push(("total", Value::from_u64(u64::from(*total))));
-        }
-        FleetEvent::JobFailed { job, message } => {
-            fields.push(("job", Value::from_u64(*job)));
-            fields.push(("message", Value::from_str_val(message)));
-        }
-        FleetEvent::Lagged { job, dropped } => {
-            fields.push(("job", Value::from_u64(*job)));
-            fields.push(("dropped", Value::from_u64(*dropped)));
-        }
-        FleetEvent::Unknown { .. } => {}
-    }
-    obj(fields)
-}
-
-/// Decodes the payload of a `"kind":"event"` frame. Unknown `what` tokens
-/// decode to [`FleetEvent::Unknown`] so version-aware clients can skip
-/// event kinds newer than their protocol.
-fn event_of(fields: &BTreeMap<String, Value>) -> Result<FleetEvent, ProtoError> {
-    match str_field(fields, "what")? {
-        "job-queued" => Ok(FleetEvent::JobQueued {
-            job: u64_field(fields, "job")?,
-            client: str_field(fields, "client")?.to_owned(),
-            chips: u32_field(fields, "chips")?,
-        }),
-        "job-started" => Ok(FleetEvent::JobStarted {
-            job: u64_field(fields, "job")?,
-        }),
-        "chip-started" => Ok(FleetEvent::ChipStarted {
-            job: u64_field(fields, "job")?,
-            chip: u32_field(fields, "chip")?,
-            chip_id: str_field(fields, "chip_id")?.to_owned(),
-        }),
-        "sweep-progress" => Ok(FleetEvent::SweepProgress {
-            job: u64_field(fields, "job")?,
-            chip: u32_field(fields, "chip")?,
-            program: str_field(fields, "program")?.to_owned(),
-            dataset: str_field(fields, "dataset")?.to_owned(),
-            core: u8_field(fields, "core")?,
-            runs: u64_field(fields, "runs")?,
-        }),
-        "chip-finished" => Ok(FleetEvent::ChipFinished {
-            job: u64_field(fields, "job")?,
-            chip: u32_field(fields, "chip")?,
-            chip_id: str_field(fields, "chip_id")?.to_owned(),
-            runs: u64_field(fields, "runs")?,
-            power_cycles: u64_field(fields, "power_cycles")?,
-            vmin_mv: opt_u32_field(fields, "vmin_mv")?,
-            severity_sum: f64_field(fields, "severity_sum")?,
-            cache_hits: u64_field(fields, "cache_hits")?,
-            cache_lookups: u64_field(fields, "cache_lookups")?,
-            trace: str_field(fields, "trace")?.to_owned(),
-        }),
-        "job-finished" => Ok(FleetEvent::JobFinished {
-            job: u64_field(fields, "job")?,
-            chips: u32_field(fields, "chips")?,
-            runs: u64_field(fields, "runs")?,
-            power_cycles: u64_field(fields, "power_cycles")?,
-        }),
-        "job-cancelled" => Ok(FleetEvent::JobCancelled {
-            job: u64_field(fields, "job")?,
-            done: u32_field(fields, "done")?,
-            total: u32_field(fields, "total")?,
-        }),
-        "job-failed" => Ok(FleetEvent::JobFailed {
-            job: u64_field(fields, "job")?,
-            message: str_field(fields, "message")?.to_owned(),
-        }),
-        "lagged" => Ok(FleetEvent::Lagged {
-            job: u64_field(fields, "job")?,
-            dropped: u64_field(fields, "dropped")?,
-        }),
-        other => Ok(FleetEvent::Unknown {
-            what: other.to_owned(),
-        }),
-    }
-}
-
-// ---------------------------------------------------------------------
-// Decoding helpers
-// ---------------------------------------------------------------------
-
-fn parse_frame(line: &str) -> Result<BTreeMap<String, Value>, ProtoError> {
+fn decode<T: WireObject>(line: &str) -> Result<T, ProtoError> {
     let value = json::parse(line.trim_end_matches(['\r', '\n']))
         .map_err(|message| ProtoError::Malformed { message })?;
     match value {
-        Value::Object(map) => Ok(map),
+        Value::Object(map) => T::take_fields(&map),
         _ => Err(ProtoError::NotAnObject),
     }
 }
 
-fn field<'a>(fields: &'a BTreeMap<String, Value>, name: &str) -> Result<&'a Value, ProtoError> {
-    fields.get(name).ok_or_else(|| ProtoError::MissingField {
+fn unknown_kind(kind: &str) -> ProtoError {
+    ProtoError::UnknownKind {
+        kind: kind.to_owned(),
+        proto: PROTO_VERSION,
+    }
+}
+
+fn put_token(map: &mut Fields, name: &str, token: &str) {
+    map.insert(name.to_owned(), Value::from_str_val(token));
+}
+
+fn field<'a>(map: &'a Fields, name: &str) -> Result<&'a Value, ProtoError> {
+    map.get(name).ok_or_else(|| ProtoError::MissingField {
         field: name.to_owned(),
     })
 }
 
-fn str_field<'a>(fields: &'a BTreeMap<String, Value>, name: &str) -> Result<&'a str, ProtoError> {
-    field(fields, name)?
-        .as_str()
-        .ok_or_else(|| ProtoError::BadField {
-            field: name.to_owned(),
-            message: "expected a string".to_owned(),
-        })
+fn bad(name: &str, message: impl Into<String>) -> ProtoError {
+    ProtoError::BadField {
+        field: name.to_owned(),
+        message: message.into(),
+    }
 }
 
-fn object_field<'a>(
-    fields: &'a BTreeMap<String, Value>,
+/// An unsigned field read as `u64`, then narrowed to `bits` wide.
+fn narrow<T: TryFrom<u64>>(map: &Fields, name: &str, bits: u32) -> Result<T, ProtoError> {
+    let wide = u64::take(map, name)?;
+    T::try_from(wide).map_err(|_| {
+        bad(
+            name,
+            format!("{wide} exceeds the unsigned {bits}-bit range"),
+        )
+    })
+}
+
+/// An array field whose every element `item` accepts.
+fn take_array<T>(
+    map: &Fields,
     name: &str,
-) -> Result<&'a BTreeMap<String, Value>, ProtoError> {
-    field(fields, name)?
-        .as_object()
-        .ok_or_else(|| ProtoError::BadField {
-            field: name.to_owned(),
-            message: "expected an object".to_owned(),
-        })
-}
-
-fn u64_field(fields: &BTreeMap<String, Value>, name: &str) -> Result<u64, ProtoError> {
-    let raw = field(fields, name)?
-        .as_number()
-        .ok_or_else(|| ProtoError::BadField {
-            field: name.to_owned(),
-            message: "expected an unsigned integer".to_owned(),
-        })?;
-    raw.parse::<u64>().map_err(|_| ProtoError::BadField {
-        field: name.to_owned(),
-        message: format!("'{raw}' is not an unsigned 64-bit integer"),
-    })
-}
-
-fn u32_field(fields: &BTreeMap<String, Value>, name: &str) -> Result<u32, ProtoError> {
-    let wide = u64_field(fields, name)?;
-    u32::try_from(wide).map_err(|_| ProtoError::BadField {
-        field: name.to_owned(),
-        message: format!("{wide} exceeds the unsigned 32-bit range"),
-    })
-}
-
-fn u8_field(fields: &BTreeMap<String, Value>, name: &str) -> Result<u8, ProtoError> {
-    let wide = u64_field(fields, name)?;
-    u8::try_from(wide).map_err(|_| ProtoError::BadField {
-        field: name.to_owned(),
-        message: format!("{wide} exceeds the unsigned 8-bit range"),
-    })
-}
-
-/// A `u32` field that may be legitimately absent (e.g. a censored Vmin).
-fn opt_u32_field(fields: &BTreeMap<String, Value>, name: &str) -> Result<Option<u32>, ProtoError> {
-    if fields.contains_key(name) {
-        u32_field(fields, name).map(Some)
-    } else {
-        Ok(None)
+    expected: &str,
+    item: impl Fn(&Value) -> Option<T>,
+) -> Result<Vec<T>, ProtoError> {
+    match field(map, name)? {
+        Value::Array(items) => items
+            .iter()
+            .map(|v| item(v).ok_or_else(|| bad(name, expected)))
+            .collect(),
+        _ => Err(bad(name, expected)),
     }
 }
 
-fn f64_field(fields: &BTreeMap<String, Value>, name: &str) -> Result<f64, ProtoError> {
-    let raw = field(fields, name)?
-        .as_number()
-        .ok_or_else(|| ProtoError::BadField {
-            field: name.to_owned(),
-            message: "expected a number".to_owned(),
-        })?;
-    let value = raw.parse::<f64>().map_err(|_| ProtoError::BadField {
-        field: name.to_owned(),
-        message: format!("'{raw}' is not a number"),
-    })?;
-    if value.is_finite() {
-        Ok(value)
-    } else {
-        Err(ProtoError::BadField {
-            field: name.to_owned(),
-            message: format!("'{raw}' is not finite"),
-        })
+impl WireField for u64 {
+    fn put(&self, map: &mut Fields, name: &str) {
+        map.insert(name.to_owned(), Value::from_u64(*self));
+    }
+
+    fn take(map: &Fields, name: &str) -> Result<Self, ProtoError> {
+        let raw = field(map, name)?
+            .as_number()
+            .ok_or_else(|| bad(name, "expected an unsigned integer"))?;
+        raw.parse()
+            .map_err(|_| bad(name, format!("'{raw}' is not an unsigned 64-bit integer")))
     }
 }
 
-fn spec_of(fields: &BTreeMap<String, Value>) -> Result<FleetSpec, ProtoError> {
-    let corner_token = str_field(fields, "corner")?;
-    let corner = parse_corner(corner_token).ok_or_else(|| ProtoError::BadField {
-        field: "corner".to_owned(),
-        message: format!("unknown corner '{corner_token}' (ttt|tff|tss)"),
-    })?;
-    let search_token = str_field(fields, "search")?;
-    let search = SearchStrategy::parse(search_token).ok_or_else(|| ProtoError::BadField {
-        field: "search".to_owned(),
-        message: format!("unknown strategy '{search_token}'"),
-    })?;
-    let benchmarks = match field(fields, "benchmarks")? {
-        Value::Array(items) => items
-            .iter()
-            .map(|v| {
-                v.as_str().map(str::to_owned).ok_or(ProtoError::BadField {
-                    field: "benchmarks".to_owned(),
-                    message: "expected an array of strings".to_owned(),
-                })
-            })
-            .collect::<Result<Vec<String>, ProtoError>>()?,
-        _ => {
-            return Err(ProtoError::BadField {
-                field: "benchmarks".to_owned(),
-                message: "expected an array of strings".to_owned(),
-            })
+impl WireField for u32 {
+    fn put(&self, map: &mut Fields, name: &str) {
+        u64::from(*self).put(map, name);
+    }
+
+    fn take(map: &Fields, name: &str) -> Result<Self, ProtoError> {
+        narrow(map, name, 32)
+    }
+}
+
+impl WireField for u8 {
+    fn put(&self, map: &mut Fields, name: &str) {
+        u64::from(*self).put(map, name);
+    }
+
+    fn take(map: &Fields, name: &str) -> Result<Self, ProtoError> {
+        narrow(map, name, 8)
+    }
+}
+
+impl WireField for f64 {
+    fn put(&self, map: &mut Fields, name: &str) {
+        map.insert(name.to_owned(), Value::from_f64(*self));
+    }
+
+    fn take(map: &Fields, name: &str) -> Result<Self, ProtoError> {
+        let raw = field(map, name)?
+            .as_number()
+            .ok_or_else(|| bad(name, "expected a number"))?;
+        let value = raw
+            .parse::<f64>()
+            .map_err(|_| bad(name, format!("'{raw}' is not a number")))?;
+        if value.is_finite() {
+            Ok(value)
+        } else {
+            Err(bad(name, format!("'{raw}' is not finite")))
         }
-    };
-    let cores = match field(fields, "cores")? {
-        Value::Array(items) => items
-            .iter()
-            .map(|v| {
-                v.as_number()
-                    .and_then(|raw| raw.parse::<u8>().ok())
-                    .ok_or(ProtoError::BadField {
-                        field: "cores".to_owned(),
-                        message: "expected an array of core indices".to_owned(),
-                    })
-            })
-            .collect::<Result<Vec<u8>, ProtoError>>()?,
-        _ => {
-            return Err(ProtoError::BadField {
-                field: "cores".to_owned(),
-                message: "expected an array of core indices".to_owned(),
-            })
+    }
+}
+
+impl WireField for String {
+    fn put(&self, map: &mut Fields, name: &str) {
+        put_token(map, name, self);
+    }
+
+    fn take(map: &Fields, name: &str) -> Result<Self, ProtoError> {
+        field(map, name)?
+            .as_str()
+            .map(str::to_owned)
+            .ok_or_else(|| bad(name, "expected a string"))
+    }
+}
+
+/// An optional field is encoded by omission (e.g. a censored Vmin).
+impl<T: WireField> WireField for Option<T> {
+    fn put(&self, map: &mut Fields, name: &str) {
+        if let Some(value) = self {
+            value.put(map, name);
         }
-    };
-    Ok(FleetSpec {
-        corner,
-        first_serial: u64_field(fields, "first_serial")?,
-        chips: u32_field(fields, "chips")?,
-        benchmarks,
-        cores,
-        iterations: u32_field(fields, "iterations")?,
-        start_mv: u32_field(fields, "start_mv")?,
-        floor_mv: u32_field(fields, "floor_mv")?,
-        seed: u64_field(fields, "seed")?,
-        search,
-    })
+    }
+
+    fn take(map: &Fields, name: &str) -> Result<Self, ProtoError> {
+        map.contains_key(name)
+            .then(|| T::take(map, name))
+            .transpose()
+    }
+}
+
+/// A spec travels as a nested object. Its decoder checks the tokens and
+/// arrays (`corner`, `search`, `benchmarks`, `cores`) before the
+/// integers, unlike declaration order, so its codec is written by hand.
+impl WireField for FleetSpec {
+    fn put(&self, map: &mut Fields, name: &str) {
+        let mut spec = Fields::new();
+        put_token(&mut spec, "corner", corner_token(self.corner));
+        self.first_serial.put(&mut spec, "first_serial");
+        self.chips.put(&mut spec, "chips");
+        let benchmarks = self.benchmarks.iter().map(|b| Value::from_str_val(b));
+        spec.insert("benchmarks".to_owned(), Value::Array(benchmarks.collect()));
+        let cores = self.cores.iter().map(|&c| Value::from_u64(u64::from(c)));
+        spec.insert("cores".to_owned(), Value::Array(cores.collect()));
+        self.iterations.put(&mut spec, "iterations");
+        self.start_mv.put(&mut spec, "start_mv");
+        self.floor_mv.put(&mut spec, "floor_mv");
+        self.seed.put(&mut spec, "seed");
+        put_token(&mut spec, "search", self.search.name());
+        map.insert(name.to_owned(), Value::Object(spec));
+    }
+
+    fn take(map: &Fields, name: &str) -> Result<Self, ProtoError> {
+        let spec = field(map, name)?
+            .as_object()
+            .ok_or_else(|| bad(name, "expected an object"))?;
+        let corner_token = String::take(spec, "corner")?;
+        let corner = parse_corner(&corner_token).ok_or_else(|| {
+            bad(
+                "corner",
+                format!("unknown corner '{corner_token}' (ttt|tff|tss)"),
+            )
+        })?;
+        let search_token = String::take(spec, "search")?;
+        let search = SearchStrategy::parse(&search_token)
+            .ok_or_else(|| bad("search", format!("unknown strategy '{search_token}'")))?;
+        let benchmarks = take_array(spec, "benchmarks", "expected an array of strings", |v| {
+            v.as_str().map(str::to_owned)
+        })?;
+        let cores = take_array(spec, "cores", "expected an array of core indices", |v| {
+            v.as_number().and_then(|raw| raw.parse().ok())
+        })?;
+        Ok(FleetSpec {
+            corner,
+            first_serial: WireField::take(spec, "first_serial")?,
+            chips: WireField::take(spec, "chips")?,
+            benchmarks,
+            cores,
+            iterations: WireField::take(spec, "iterations")?,
+            start_mv: WireField::take(spec, "start_mv")?,
+            floor_mv: WireField::take(spec, "floor_mv")?,
+            seed: WireField::take(spec, "seed")?,
+            search,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -1196,271 +967,6 @@ mod tests {
             seed: 7,
             search: SearchStrategy::Bisection,
         }
-    }
-
-    #[test]
-    fn requests_round_trip_through_the_wire() {
-        let frames = [
-            Request::Submit {
-                client: "rack-a".into(),
-                spec: spec(),
-            },
-            Request::Status {
-                client: "rack-a".into(),
-                job: 3,
-            },
-            Request::Cancel {
-                client: "rack \"b\"\n".into(),
-                job: u64::MAX,
-            },
-            Request::Results {
-                client: String::new(),
-                job: 0,
-            },
-            Request::Subscribe {
-                client: "rack-a".into(),
-                job: 12,
-            },
-            Request::Unsubscribe {
-                client: "rack-a".into(),
-                job: 12,
-            },
-            Request::Health,
-            Request::Metrics,
-            Request::Shutdown,
-        ];
-        for frame in frames {
-            let line = frame.to_line();
-            assert!(!line.contains('\n'), "frames are single lines: {line}");
-            assert_eq!(Request::parse_line(&line).expect("round trip"), frame);
-        }
-    }
-
-    #[test]
-    fn responses_round_trip_through_the_wire() {
-        let frames = [
-            Response::Submitted { job: 1, chips: 64 },
-            Response::Status {
-                job: 1,
-                state: "running".into(),
-                done: 3,
-                total: 64,
-                queue_position: 7,
-                progress: 3.0 / 64.0,
-            },
-            Response::Cancelled {
-                job: 9,
-                done: 2,
-                total: 5,
-            },
-            Response::Subscribed { job: 4 },
-            Response::Unsubscribed { job: 4 },
-            Response::Health(HealthSnapshot {
-                workers: 4,
-                busy: 2,
-                queued_units: 61,
-                jobs_queued: 1,
-                jobs_running: 1,
-                jobs_done: 3,
-                jobs_cancelled: 1,
-                jobs_failed: 0,
-                subscribers: 2,
-            }),
-            Response::Metrics {
-                body: "# TYPE voltmargin_runs counter\nvoltmargin_runs_total 3\n# EOF\n".into(),
-            },
-            Response::Event(FleetEvent::ChipFinished {
-                job: 1,
-                chip: 3,
-                chip_id: "TTT#103".into(),
-                runs: 3,
-                power_cycles: 1,
-                vmin_mv: Some(885),
-                severity_sum: 2.5,
-                cache_hits: 0,
-                cache_lookups: 4,
-                trace: "{\"seq\":0}\n".into(),
-            }),
-            Response::Event(FleetEvent::ChipFinished {
-                job: 1,
-                chip: 4,
-                chip_id: "TTT#104".into(),
-                runs: 3,
-                power_cycles: 0,
-                vmin_mv: None,
-                severity_sum: 0.0,
-                cache_hits: 4,
-                cache_lookups: 4,
-                trace: String::new(),
-            }),
-            Response::Event(FleetEvent::Lagged { job: 1, dropped: 9 }),
-            Response::Results {
-                job: 1,
-                chips: 2,
-                runs: 120,
-                power_cycles: 4,
-                executed_ops: 0,
-                trace: "{\"seq\":0}\n{\"seq\":1}\n".into(),
-                metrics: "# EOF\n".into(),
-            },
-            Response::Bye,
-            Response::Error {
-                proto: PROTO_VERSION,
-                code: "malformed".into(),
-                message: "truncated".into(),
-            },
-        ];
-        for frame in frames {
-            let line = frame.to_line();
-            assert!(!line.contains('\n'), "frames are single lines: {line}");
-            assert_eq!(Response::parse_line(&line).expect("round trip"), frame);
-        }
-    }
-
-    #[test]
-    fn truncated_and_corrupt_frames_are_typed_errors() {
-        let whole = Request::Submit {
-            client: "c".into(),
-            spec: spec(),
-        }
-        .to_line();
-        for cut in 1..whole.len() {
-            let err = Request::parse_line(&whole[..cut]).expect_err("truncated frame");
-            assert!(
-                matches!(
-                    err,
-                    ProtoError::Malformed { .. }
-                        | ProtoError::MissingField { .. }
-                        | ProtoError::BadField { .. }
-                ),
-                "cut at {cut}: {err:?}"
-            );
-        }
-        assert_eq!(
-            Request::parse_line("[1,2]").expect_err("array frame"),
-            ProtoError::NotAnObject
-        );
-        let err = Request::parse_line("{\"kind\":7}").expect_err("numeric kind");
-        assert_eq!(err.code(), "bad-field");
-    }
-
-    #[test]
-    fn unknown_kinds_are_rejected_with_the_protocol_version() {
-        let err = Request::parse_line("{\"kind\":\"reboot\"}").expect_err("unknown kind");
-        assert_eq!(
-            err,
-            ProtoError::UnknownKind {
-                kind: "reboot".into(),
-                proto: PROTO_VERSION,
-            }
-        );
-        let Response::Error {
-            proto,
-            code,
-            message,
-        } = err.to_response()
-        else {
-            panic!("to_response must build an error frame");
-        };
-        assert_eq!((proto, code.as_str()), (PROTO_VERSION, "unknown-kind"));
-        assert!(message.contains("reboot"), "{message}");
-    }
-
-    #[test]
-    fn every_event_kind_round_trips() {
-        let events = [
-            FleetEvent::JobQueued {
-                job: 0,
-                client: "rack \"a\"".into(),
-                chips: 64,
-            },
-            FleetEvent::JobStarted { job: 0 },
-            FleetEvent::ChipStarted {
-                job: 0,
-                chip: 1,
-                chip_id: "TSS#501".into(),
-            },
-            FleetEvent::SweepProgress {
-                job: 0,
-                chip: 1,
-                program: "namd".into(),
-                dataset: "ref".into(),
-                core: 4,
-                runs: 3,
-            },
-            FleetEvent::JobFinished {
-                job: 0,
-                chips: 64,
-                runs: 192,
-                power_cycles: 4,
-            },
-            FleetEvent::JobCancelled {
-                job: 0,
-                done: 12,
-                total: 64,
-            },
-            FleetEvent::JobFailed {
-                job: 0,
-                message: "executor: too many threads".into(),
-            },
-            FleetEvent::Lagged { job: 0, dropped: 1 },
-        ];
-        for event in events {
-            let line = Response::Event(event.clone()).to_line();
-            assert!(!line.contains('\n'), "events are single lines: {line}");
-            assert_eq!(
-                Response::parse_line(&line).expect("round trip"),
-                Response::Event(event)
-            );
-        }
-    }
-
-    #[test]
-    fn unknown_event_kinds_decode_skippable_not_fatal() {
-        // An unknown *event* kind is a soft skip for version-aware
-        // clients…
-        let decoded = Response::parse_line("{\"kind\":\"event\",\"what\":\"chip-teleported\"}")
-            .expect("unknown events decode");
-        let Response::Event(event) = decoded else {
-            panic!("expected an event frame");
-        };
-        assert_eq!(
-            event,
-            FleetEvent::Unknown {
-                what: "chip-teleported".into()
-            }
-        );
-        assert_eq!(event.job(), None);
-        assert_eq!(event.what(), "chip-teleported");
-        // …while an unknown *frame* kind stays a hard typed rejection.
-        assert!(matches!(
-            Response::parse_line("{\"kind\":\"telemetry\"}"),
-            Err(ProtoError::UnknownKind { .. })
-        ));
-        // A known event kind with a broken payload is still a typed error.
-        assert!(matches!(
-            Response::parse_line("{\"kind\":\"event\",\"what\":\"lagged\"}"),
-            Err(ProtoError::MissingField { .. })
-        ));
-    }
-
-    #[test]
-    fn censored_vmin_is_encoded_by_omission() {
-        let censored = Response::Event(FleetEvent::ChipFinished {
-            job: 2,
-            chip: 0,
-            chip_id: "TFF#9".into(),
-            runs: 3,
-            power_cycles: 2,
-            vmin_mv: None,
-            severity_sum: 7.5,
-            cache_hits: 0,
-            cache_lookups: 4,
-            trace: String::new(),
-        });
-        let line = censored.to_line();
-        assert!(!line.contains("vmin_mv"), "{line}");
-        assert_eq!(Response::parse_line(&line).expect("round trip"), censored);
     }
 
     #[test]

@@ -20,8 +20,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::process::ExitCode;
 use voltmargin::characterize::search::SearchStrategy;
-use voltmargin::fleet::{FleetSpec, Request, Response};
-use voltmargin::sim::Corner;
+use voltmargin::fleet::{proto, FleetSpec, Request, Response};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -60,22 +59,23 @@ fn run(args: &[String]) -> Result<(), String> {
             Some(v) => v.parse().map_err(|_| format!("--{key}: bad value '{v}'")),
         }
     };
+    let num32 = |key: &str, default: u32| -> Result<u32, String> {
+        let wide = num(key, u64::from(default))?;
+        u32::try_from(wide).map_err(|_| format!("--{key}: {wide} exceeds {}", u32::MAX))
+    };
 
     let addr = get("addr", "127.0.0.1:4750");
     let client = get("client", "fleet-client");
-    let corner = match get("corner", "ttt").as_str() {
-        "ttt" => Corner::Ttt,
-        "tff" => Corner::Tff,
-        "tss" => Corner::Tss,
-        other => return Err(format!("unknown corner '{other}' (ttt|tff|tss)")),
-    };
+    let corner_token = get("corner", "ttt");
+    let corner = proto::parse_corner(&corner_token)
+        .ok_or_else(|| format!("unknown corner '{corner_token}' (ttt|tff|tss)"))?;
     let search_token = get("search", "exhaustive");
     let search = SearchStrategy::parse(&search_token)
         .ok_or_else(|| format!("unknown search strategy '{search_token}'"))?;
     let spec = FleetSpec {
         corner,
         first_serial: num("first-serial", 0)?,
-        chips: num("chips", 4)? as u32,
+        chips: num32("chips", 4)?,
         benchmarks: get("benchmarks", "namd")
             .split(',')
             .map(|s| s.trim().to_owned())
@@ -88,9 +88,9 @@ fn run(args: &[String]) -> Result<(), String> {
                     .map_err(|_| format!("--cores: bad core '{s}'"))
             })
             .collect::<Result<Vec<u8>, String>>()?,
-        iterations: num("iterations", 1)? as u32,
-        start_mv: num("start", 890)? as u32,
-        floor_mv: num("floor", 880)? as u32,
+        iterations: num32("iterations", 1)?,
+        start_mv: num32("start", 890)?,
+        floor_mv: num32("floor", 880)?,
         seed: num("seed", 0x00DD_BA11)?,
         search,
     };

@@ -385,12 +385,9 @@ impl Options {
     }
 
     fn chip(&self) -> Result<ChipSpec, String> {
-        let corner = match self.flags.get("chip").map(String::as_str).unwrap_or("ttt") {
-            "ttt" => Corner::Ttt,
-            "tff" => Corner::Tff,
-            "tss" => Corner::Tss,
-            other => return Err(format!("unknown chip '{other}' (ttt|tff|tss)")),
-        };
+        let token = self.flags.get("chip").map_or("ttt", String::as_str);
+        let corner = voltmargin::fleet::proto::parse_corner(token)
+            .ok_or_else(|| format!("unknown chip '{token}' (ttt|tff|tss)"))?;
         let default_serial = match corner {
             Corner::Ttt => 0,
             Corner::Tff => 1,

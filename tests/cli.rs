@@ -745,6 +745,36 @@ fn serve_answers_clients_and_shuts_down_cleanly() {
         // Dropped here with queued events still in flight.
     }
 
+    // A peer streaming one byte past the frame cap with no newline gets a
+    // typed error frame and loses its connection; the daemon keeps
+    // serving everyone else.
+    {
+        use voltmargin::fleet::MAX_FRAME_BYTES;
+        let hostile = TcpStream::connect(&addr).expect("daemon accepts");
+        let mut w = hostile.try_clone().unwrap();
+        let mut r = BufReader::new(hostile);
+        w.write_all(&vec![b'x'; MAX_FRAME_BYTES + 1]).unwrap();
+        w.flush().unwrap();
+        let mut line = String::new();
+        r.read_line(&mut line).unwrap();
+        let Response::Error { proto, code, .. } =
+            Response::parse_line(&line).expect("error frame decodes")
+        else {
+            panic!("an oversize frame must yield an error frame: {line}");
+        };
+        assert_eq!((proto, code.as_str()), (PROTO_VERSION, "frame-too-large"));
+        line.clear();
+        assert_eq!(r.read_line(&mut line).unwrap(), 0, "connection closed");
+
+        let other = TcpStream::connect(&addr).expect("daemon still accepts");
+        let mut w = other.try_clone().unwrap();
+        let mut r = BufReader::new(other);
+        let Response::Health(health) = exchange(&mut w, &mut r, &Request::Health.to_line()) else {
+            panic!("the next client is served");
+        };
+        assert_eq!(health.workers, 2);
+    }
+
     assert_eq!(
         exchange(&mut writer, &mut reader, &Request::Shutdown.to_line()),
         Response::Bye

@@ -82,6 +82,8 @@ fn assert_unknown_kind_is_versioned(kind: &str) {
             proto: PROTO_VERSION,
         }
     );
+    // The operator-facing message names the offending kind.
+    assert!(err.to_string().contains(&format!("'{kind}'")), "{err}");
     let Response::Error { proto, code, .. } = err.to_response() else {
         panic!("decode failures become error frames");
     };
@@ -435,6 +437,20 @@ fn example_events_roundtrip() {
         cache_lookups: 6,
         trace: "{\"seq\":0}\n".into(),
     }));
+    let censored = Response::Event(FleetEvent::ChipFinished {
+        job: 2,
+        chip: 0,
+        chip_id: "TFF#9".into(),
+        runs: 3,
+        power_cycles: 2,
+        vmin_mv: None,
+        severity_sum: 7.5,
+        cache_hits: 0,
+        cache_lookups: 4,
+        trace: String::new(),
+    })
+    .to_line();
+    assert!(!censored.contains("vmin_mv"), "{censored}");
 }
 
 #[test]
@@ -459,6 +475,17 @@ fn unknown_event_whats_decode_skippable() {
     // skip contract covers novelty, not corruption.
     let corrupt = "{\"kind\":\"event\",\"what\":\"job-started\"}";
     assert!(Response::parse_line(corrupt).is_err());
+    assert_eq!(
+        Response::parse_line("{\"kind\":\"event\",\"what\":\"lagged\"}"),
+        Err(ProtoError::MissingField {
+            field: "job".into()
+        })
+    );
+    // An unknown *frame* kind stays a hard, typed rejection.
+    assert!(matches!(
+        Response::parse_line("{\"kind\":\"telemetry\"}"),
+        Err(ProtoError::UnknownKind { .. })
+    ));
     let known = [
         "job-queued",
         "job-started",
@@ -510,33 +537,42 @@ fn truncated_frames_are_typed_errors() {
     });
 }
 
+/// Hand-picked corrupt frames: wrong JSON shapes, wrong field types,
+/// out-of-range numbers and half-formed submits.
+const CORRUPT_LINES: [&str; 17] = [
+    "",
+    "   ",
+    "null",
+    "true",
+    "42",
+    "\"just a string\"",
+    "[1,2,3]",
+    "{}",
+    "{\"kind\":7}",
+    "{\"kind\":\"submit\"}",
+    "{\"kind\":\"submit\",\"client\":\"c\",\"spec\":3}",
+    "{\"kind\":\"status\",\"client\":\"c\",\"job\":\"one\"}",
+    "{\"kind\":\"status\",\"client\":\"c\",\"job\":-1}",
+    "{\"kind\":\"submitted\",\"job\":0,\"chips\":4294967296}",
+    "\u{0}\u{1}\u{2}",
+    "ütterly wröng",
+    "{\"kind\":\"submit\",\"client\":\"c\",\"spec\":{\"corner\":\"xyz\"}}",
+];
+
 #[test]
 fn arbitrary_bytes_never_panic_the_decoder() {
-    for line in [
-        "",
-        "   ",
-        "null",
-        "true",
-        "42",
-        "\"just a string\"",
-        "[1,2,3]",
-        "{}",
-        "{\"kind\":7}",
-        "{\"kind\":\"submit\"}",
-        "{\"kind\":\"submit\",\"client\":\"c\",\"spec\":3}",
-        "{\"kind\":\"status\",\"client\":\"c\",\"job\":\"one\"}",
-        "{\"kind\":\"status\",\"client\":\"c\",\"job\":-1}",
-        "{\"kind\":\"submitted\",\"job\":0,\"chips\":4294967296}",
-        "\u{0}\u{1}\u{2}",
-        "ütterly wröng",
-        "{\"kind\":\"submit\",\"client\":\"c\",\"spec\":{\"corner\":\"xyz\"}}",
-    ] {
+    for line in CORRUPT_LINES {
         assert_decode_is_total(line);
         assert!(
             Request::parse_line(line).is_err(),
             "corrupt frame must not decode: {line:?}"
         );
     }
+    assert_eq!(Request::parse_line("[1,2]"), Err(ProtoError::NotAnObject));
+    assert_eq!(
+        Request::parse_line("{\"kind\":7}").map_err(|e| e.code()),
+        Err("bad-field")
+    );
     check_cases(256, |rng| assert_decode_is_total(&arbitrary_line(rng)));
 }
 
@@ -576,4 +612,224 @@ fn unknown_kinds_are_versioned_rejections() {
             assert_unknown_kind_is_versioned(&kind);
         }
     });
+}
+
+// ---------------------------------------------------------------------
+// Pinned bytes: the codec's exact output across refactors
+// ---------------------------------------------------------------------
+
+/// One frame of every request kind.
+fn example_requests() -> Vec<Request> {
+    let client = "rack \"a\"\n".to_owned();
+    vec![
+        Request::Submit {
+            client: client.clone(),
+            spec: example_spec(),
+        },
+        Request::Status {
+            client: client.clone(),
+            job: u64::MAX,
+        },
+        Request::Cancel {
+            client: client.clone(),
+            job: 0,
+        },
+        Request::Results {
+            client: client.clone(),
+            job: 7,
+        },
+        Request::Subscribe {
+            client: client.clone(),
+            job: 9,
+        },
+        Request::Unsubscribe { client, job: 9 },
+        Request::Health,
+        Request::Metrics,
+        Request::Shutdown,
+    ]
+}
+
+/// One event of every `what` kind, with the censored and uncensored
+/// chip-finished shapes.
+fn example_events() -> Vec<FleetEvent> {
+    let finished = |vmin_mv| FleetEvent::ChipFinished {
+        job: 1,
+        chip: 3,
+        chip_id: "TTT#103".into(),
+        runs: 3,
+        power_cycles: 1,
+        vmin_mv,
+        severity_sum: 2.5,
+        cache_hits: 0,
+        cache_lookups: 4,
+        trace: "{\"seq\":0}\n".into(),
+    };
+    vec![
+        FleetEvent::JobQueued {
+            job: 0,
+            client: "rack \"a\"".into(),
+            chips: 64,
+        },
+        FleetEvent::JobStarted { job: 0 },
+        FleetEvent::ChipStarted {
+            job: 0,
+            chip: 1,
+            chip_id: "TSS#501".into(),
+        },
+        FleetEvent::SweepProgress {
+            job: 0,
+            chip: 1,
+            program: "namd".into(),
+            dataset: "ref".into(),
+            core: 4,
+            runs: 3,
+        },
+        finished(Some(885)),
+        finished(None),
+        FleetEvent::JobFinished {
+            job: 0,
+            chips: 64,
+            runs: 192,
+            power_cycles: 4,
+        },
+        FleetEvent::JobCancelled {
+            job: 0,
+            done: 12,
+            total: 64,
+        },
+        FleetEvent::JobFailed {
+            job: 0,
+            message: "executor: too many threads".into(),
+        },
+        FleetEvent::Lagged { job: 0, dropped: 1 },
+        FleetEvent::Unknown {
+            what: "chip-teleported".into(),
+        },
+    ]
+}
+
+/// One frame of every response kind, plus an event frame per event kind.
+fn example_responses() -> Vec<Response> {
+    let mut frames = vec![
+        Response::Submitted { job: 1, chips: 64 },
+        Response::Status {
+            job: 1,
+            state: "running".into(),
+            done: 3,
+            total: 64,
+            queue_position: 7,
+            progress: 3.0 / 64.0,
+        },
+        Response::Cancelled {
+            job: 9,
+            done: 2,
+            total: 5,
+        },
+        Response::Subscribed { job: 4 },
+        Response::Unsubscribed { job: 4 },
+        Response::Health(HealthSnapshot {
+            workers: 4,
+            busy: 2,
+            queued_units: 61,
+            jobs_queued: 1,
+            jobs_running: 1,
+            jobs_done: 3,
+            jobs_cancelled: 1,
+            jobs_failed: 0,
+            subscribers: 2,
+        }),
+        Response::Metrics {
+            body: "# TYPE voltmargin_runs counter\nvoltmargin_runs_total 3\n# EOF\n".into(),
+        },
+        Response::Results {
+            job: 1,
+            chips: 2,
+            runs: 120,
+            power_cycles: 4,
+            executed_ops: 0,
+            trace: "{\"seq\":0}\n{\"seq\":1}\n".into(),
+            metrics: "# EOF\n".into(),
+        },
+        Response::Bye,
+        Response::Error {
+            proto: PROTO_VERSION,
+            code: "malformed".into(),
+            message: "truncated".into(),
+        },
+    ];
+    frames.extend(example_events().into_iter().map(Response::Event));
+    frames
+}
+
+/// Frames with several faults at once: the one reported pins the order
+/// in which the decoder checks fields.
+const MULTI_FAULT_LINES: [&str; 23] = [
+    "{\"kind\":\"status\"}",
+    "{\"kind\":\"submit\",\"spec\":3}",
+    "{\"kind\":\"submit\",\"client\":\"c\",\"spec\":{\"corner\":\"xyz\",\"search\":\"nope\"}}",
+    "{\"kind\":\"submit\",\"client\":\"c\",\"spec\":{\"corner\":\"xyz\",\"first_serial\":1,\"benchmarks\":[\"namd\"],\"cores\":[0],\"iterations\":1,\"start_mv\":900,\"floor_mv\":880,\"seed\":1,\"search\":\"bisection\"}}",
+    "{\"kind\":\"submit\",\"client\":\"c\",\"spec\":{\"corner\":\"ttt\",\"first_serial\":1,\"benchmarks\":[\"namd\"],\"cores\":[300],\"iterations\":1,\"start_mv\":900,\"floor_mv\":880,\"seed\":1,\"search\":\"bisection\"}}",
+    "{\"kind\":\"submit\",\"client\":\"c\",\"spec\":{\"corner\":\"tff\",\"search\":\"nope\",\"benchmarks\":\"namd\"}}",
+    "{\"kind\":\"submit\",\"client\":\"c\",\"spec\":{\"corner\":\"tss\",\"search\":\"warm-start\",\"benchmarks\":[\"namd\",1],\"cores\":7}}",
+    "{\"kind\":\"submit\",\"client\":\"c\",\"spec\":{\"corner\":\"tss\",\"search\":\"exhaustive\",\"benchmarks\":[],\"cores\":[],\"first_serial\":0,\"chips\":-1}}",
+    "{\"kind\":\"status\",\"client\":\"c\",\"job\":1.5}",
+    "{\"kind\":\"status\",\"job\":\"x\",\"state\":7}",
+    "{\"kind\":\"status\",\"job\":1,\"state\":\"s\",\"done\":1,\"total\":2,\"queue_position\":0,\"progress\":1e999}",
+    "{\"kind\":\"status\",\"job\":1,\"state\":\"s\",\"done\":1,\"total\":2,\"queue_position\":0,\"progress\":\"half\"}",
+    "{\"kind\":\"health\",\"workers\":1}",
+    "{\"kind\":\"health\"}\r\n",
+    "{\"kind\":\"error\",\"proto\":4294967296,\"code\":5}",
+    "{\"kind\":\"results\",\"job\":1}",
+    "{\"kind\":\"metrics\",\"body\":null}",
+    "{\"kind\":\"event\"}",
+    "{\"kind\":\"event\",\"what\":7}",
+    "{\"kind\":\"event\",\"what\":\"lagged\"}",
+    "{\"kind\":\"event\",\"what\":\"job-queued\",\"job\":1,\"client\":\"c\",\"chips\":-2}",
+    "{\"kind\":\"event\",\"what\":\"sweep-progress\",\"job\":1,\"chip\":2,\"program\":\"p\",\"dataset\":\"d\",\"core\":300,\"runs\":1}",
+    "{\"kind\":\"event\",\"what\":\"chip-finished\",\"job\":1,\"chip\":2,\"chip_id\":\"x\",\"runs\":1,\"power_cycles\":0,\"vmin_mv\":4294967296}",
+];
+
+/// A decode outcome as text: the re-encoded frame, or the error's code
+/// and message.
+fn outcome<T>(decoded: Result<T, ProtoError>, encode: impl Fn(&T) -> String) -> String {
+    match decoded {
+        Ok(frame) => format!("ok {}", encode(&frame)),
+        Err(e) => format!("{} {e}", e.code()),
+    }
+}
+
+#[test]
+fn wire_bytes_and_error_texts_are_pinned() {
+    let mut text = String::new();
+    let mut push = |line: String| {
+        text.push_str(&line);
+        text.push('\n');
+    };
+    for frame in example_requests() {
+        push(frame.to_line());
+    }
+    for frame in example_responses() {
+        push(frame.to_line());
+    }
+    check_cases(64, |rng| push(request_from(rng).to_line()));
+    check_cases(64, |rng| push(response_from(rng).to_line()));
+    let submit = example_requests()[0].to_line();
+    let prefixes = (0..=submit.len())
+        .filter(|&cut| submit.is_char_boundary(cut))
+        .map(|cut| &submit[..cut]);
+    for line in CORRUPT_LINES
+        .into_iter()
+        .chain(MULTI_FAULT_LINES)
+        .chain(prefixes)
+    {
+        push(outcome(Request::parse_line(line), Request::to_line));
+        push(outcome(Response::parse_line(line), Response::to_line));
+    }
+    let fnv1a = text.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    });
+    assert_eq!(
+        fnv1a, 0x4fff_d0b6_3dbd_06ba,
+        "wire bytes or error texts moved:\n{text}"
+    );
 }
