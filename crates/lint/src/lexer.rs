@@ -8,25 +8,36 @@
 //! literal, handling nested block comments, raw strings, byte strings,
 //! char literals and lifetimes, so the rules only ever see real code
 //! tokens while waiver scanning only ever sees comment text.
+//!
+//! It scans `src.as_bytes()` and allocates nothing per token: identifier,
+//! punctuation and comment text are `&str` slices borrowed from the
+//! source ([`Token`], [`Comment`]). ASCII stays on a byte fast path; a
+//! `char` is decoded only at a non-ASCII byte, so whitespace, identifier
+//! and numeric-suffix tests keep their Unicode meaning
+//! (`char::is_whitespace`, `is_alphabetic`, `is_alphanumeric`). Every
+//! delimiter the scanner matches is ASCII, and UTF-8 never reuses an
+//! ASCII byte inside a multi-byte character, so byte-level matching stops
+//! exactly where a char-level scan would. Lines are counted at `\n` and
+//! columns in characters, not bytes.
 
 /// One code token with its source position (1-based line and column).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Token {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Token<'a> {
     /// 1-based source line.
     pub line: u32,
     /// 1-based source column (in characters).
     pub col: u32,
     /// Token class and text.
-    pub kind: TokKind,
+    pub kind: TokKind<'a>,
 }
 
 /// Token classes the rules care about.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TokKind {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TokKind<'a> {
     /// Identifier or keyword.
-    Ident(String),
+    Ident(&'a str),
     /// Operator / punctuation, multi-character operators joined (`==`, `::`).
-    Punct(String),
+    Punct(&'a str),
     /// Integer literal (any radix).
     Int,
     /// Floating-point literal.
@@ -35,18 +46,18 @@ pub enum TokKind {
     Lifetime,
 }
 
-impl Token {
+impl<'a> Token<'a> {
     /// The identifier text, if this token is an identifier.
-    pub fn ident(&self) -> Option<&str> {
-        match &self.kind {
+    pub fn ident(&self) -> Option<&'a str> {
+        match self.kind {
             TokKind::Ident(s) => Some(s),
             _ => None,
         }
     }
 
     /// The punctuation text, if this token is punctuation.
-    pub fn punct(&self) -> Option<&str> {
-        match &self.kind {
+    pub fn punct(&self) -> Option<&'a str> {
+        match self.kind {
             TokKind::Punct(s) => Some(s),
             _ => None,
         }
@@ -54,21 +65,21 @@ impl Token {
 }
 
 /// A comment (line, block or doc) with the line it starts on.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Comment {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Comment<'a> {
     /// 1-based line of the first character of the comment.
     pub line: u32,
     /// Full comment text, delimiters stripped.
-    pub text: String,
+    pub text: &'a str,
 }
 
-/// The lexed form of one source file.
+/// The lexed form of one source file, borrowing from its text.
 #[derive(Debug, Default)]
-pub struct Lexed {
+pub struct Lexed<'a> {
     /// All code tokens in source order.
-    pub tokens: Vec<Token>,
+    pub tokens: Vec<Token<'a>>,
     /// All comments in source order.
-    pub comments: Vec<Comment>,
+    pub comments: Vec<Comment<'a>>,
 }
 
 /// Multi-character operators, longest first so greedy matching works.
@@ -77,348 +88,317 @@ const OPERATORS: &[&str] = &[
     "+=", "-=", "*=", "/=", "%=", "^=", "&=", "|=", "..",
 ];
 
+/// What one scan step found.
+enum Lexeme<'a> {
+    /// Whitespace or a literal the rules never look inside.
+    Skip,
+    /// A comment's text, delimiters stripped.
+    Comment(&'a str),
+    /// A code token.
+    Token(TokKind<'a>),
+}
+
 /// Lexes `src` into code tokens and comments.
 ///
 /// The lexer is intentionally forgiving: on malformed input (unterminated
 /// string, stray byte) it resynchronises at the next character rather than
 /// failing, because lint must never be the reason a build script dies on a
 /// half-written file.
-pub fn lex(src: &str) -> Lexed {
-    let chars: Vec<char> = src.chars().collect();
+pub fn lex(src: &str) -> Lexed<'_> {
+    let bytes = src.as_bytes();
     let mut out = Lexed::default();
-    let mut i = 0usize;
-    let mut line: u32 = 1;
-    let mut col: u32 = 1;
-
-    macro_rules! bump {
-        () => {{
-            if chars[i] == '\n' {
+    let (mut i, mut line, mut col) = (0usize, 1u32, 1u32);
+    while i < bytes.len() {
+        let (end, lexeme) = scan(src, i);
+        match lexeme {
+            Lexeme::Skip => {}
+            Lexeme::Comment(text) => out.comments.push(Comment { line, text }),
+            Lexeme::Token(kind) => out.tokens.push(Token { line, col, kind }),
+        }
+        for &b in &bytes[i..end] {
+            if b == b'\n' {
                 line += 1;
                 col = 1;
-            } else {
+            } else if !is_continuation(b) {
                 col += 1;
             }
-            i += 1;
-        }};
+        }
+        i = end;
     }
-
-    while i < chars.len() {
-        let c = chars[i];
-        let (tline, tcol) = (line, col);
-
-        // Whitespace.
-        if c.is_whitespace() {
-            bump!();
-            continue;
-        }
-
-        // Comments.
-        if c == '/' && i + 1 < chars.len() {
-            if chars[i + 1] == '/' {
-                let start = i + 2;
-                while i < chars.len() && chars[i] != '\n' {
-                    bump!();
-                }
-                let text: String = chars[start..i.min(chars.len())].iter().collect();
-                out.comments.push(Comment { line: tline, text });
-                continue;
-            }
-            if chars[i + 1] == '*' {
-                let start = i + 2;
-                bump!();
-                bump!();
-                let mut depth = 1u32;
-                while i < chars.len() && depth > 0 {
-                    if chars[i] == '/' && i + 1 < chars.len() && chars[i + 1] == '*' {
-                        depth += 1;
-                        bump!();
-                        bump!();
-                    } else if chars[i] == '*' && i + 1 < chars.len() && chars[i + 1] == '/' {
-                        depth -= 1;
-                        bump!();
-                        bump!();
-                    } else {
-                        bump!();
-                    }
-                }
-                let end = i.saturating_sub(2).max(start);
-                let text: String = chars[start..end.min(chars.len())].iter().collect();
-                out.comments.push(Comment { line: tline, text });
-                continue;
-            }
-        }
-
-        // Raw / byte strings: r"", r#""#, b"", br#""#, and plain strings.
-        if c == 'r' || c == 'b' {
-            if let Some(consumed) = try_string_prefix(&chars, i) {
-                for _ in 0..consumed {
-                    bump!();
-                }
-                continue;
-            }
-        }
-        if c == '"' {
-            let consumed = scan_plain_string(&chars, i);
-            for _ in 0..consumed {
-                bump!();
-            }
-            continue;
-        }
-
-        // Char literal or lifetime.
-        if c == '\'' {
-            if let Some(consumed) = scan_char_literal(&chars, i) {
-                for _ in 0..consumed {
-                    bump!();
-                }
-                continue;
-            }
-            // Lifetime / label: consume the quote plus identifier chars.
-            bump!();
-            while i < chars.len() && (chars[i].is_alphanumeric() || chars[i] == '_') {
-                bump!();
-            }
-            out.tokens.push(Token {
-                line: tline,
-                col: tcol,
-                kind: TokKind::Lifetime,
-            });
-            continue;
-        }
-
-        // Identifiers and keywords.
-        if c.is_alphabetic() || c == '_' {
-            let start = i;
-            while i < chars.len() && (chars[i].is_alphanumeric() || chars[i] == '_') {
-                bump!();
-            }
-            let text: String = chars[start..i].iter().collect();
-            out.tokens.push(Token {
-                line: tline,
-                col: tcol,
-                kind: TokKind::Ident(text),
-            });
-            continue;
-        }
-
-        // Numbers.
-        if c.is_ascii_digit() {
-            let consumed = scan_number(&chars, i);
-            let is_float = consumed.1;
-            for _ in 0..consumed.0 {
-                bump!();
-            }
-            out.tokens.push(Token {
-                line: tline,
-                col: tcol,
-                kind: if is_float {
-                    TokKind::Float
-                } else {
-                    TokKind::Int
-                },
-            });
-            continue;
-        }
-
-        // Operators, longest match first.
-        let mut matched = false;
-        for op in OPERATORS {
-            let oc: Vec<char> = op.chars().collect();
-            if chars[i..].starts_with(&oc) {
-                for _ in 0..oc.len() {
-                    bump!();
-                }
-                out.tokens.push(Token {
-                    line: tline,
-                    col: tcol,
-                    kind: TokKind::Punct((*op).to_owned()),
-                });
-                matched = true;
-                break;
-            }
-        }
-        if matched {
-            continue;
-        }
-
-        // Single-character punctuation (or anything we don't recognise).
-        bump!();
-        out.tokens.push(Token {
-            line: tline,
-            col: tcol,
-            kind: TokKind::Punct(c.to_string()),
-        });
-    }
-
     out
 }
 
-/// If position `i` starts a raw/byte string (`r"`, `r#"`, `b"`, `br#"`,
-/// `rb"` is not legal Rust but tolerated), returns the number of chars the
-/// whole literal occupies.
-fn try_string_prefix(chars: &[char], i: usize) -> Option<usize> {
+/// Scans the lexeme starting at byte `i` (a char boundary); returns the
+/// byte index just past it and what it was.
+fn scan(src: &str, i: usize) -> (usize, Lexeme<'_>) {
+    let bytes = src.as_bytes();
+    let b = bytes[i];
+    let ident = |end: usize| (end, Lexeme::Token(TokKind::Ident(&src[i..end])));
+    match b {
+        b'\t'..=b'\r' | b' ' => {
+            let run = bytes[i..]
+                .iter()
+                .take_while(|b| matches!(b, b'\t'..=b'\r' | b' '));
+            (i + run.count(), Lexeme::Skip)
+        }
+        b'/' if bytes.get(i + 1) == Some(&b'/') => {
+            let end = bytes[i..]
+                .iter()
+                .position(|&b| b == b'\n')
+                .map_or(bytes.len(), |p| i + p);
+            (end, Lexeme::Comment(&src[i + 2..end]))
+        }
+        b'/' if bytes.get(i + 1) == Some(&b'*') => {
+            let end = block_comment_end(bytes, i);
+            // The text stops two characters short of the end: the closing
+            // `*/`, or the last two characters of an unterminated comment.
+            let text_end = prev_char(bytes, prev_char(bytes, end)).max(i + 2);
+            (end, Lexeme::Comment(&src[i + 2..text_end]))
+        }
+        b'r' | b'b' => match prefixed_literal_end(src, i) {
+            Some(end) => (end, Lexeme::Skip),
+            None => ident(ident_end(src, i + 1)),
+        },
+        b'"' => (plain_string_end(bytes, i), Lexeme::Skip),
+        b'\'' => match char_literal_end(src, i) {
+            Some(end) => (end, Lexeme::Skip),
+            // Lifetime / label: the quote plus identifier chars.
+            None => (ident_end(src, i + 1), Lexeme::Token(TokKind::Lifetime)),
+        },
+        b'a'..=b'z' | b'A'..=b'Z' | b'_' => ident(ident_end(src, i + 1)),
+        b'0'..=b'9' => {
+            let (end, is_float) = number_end(src, i);
+            let kind = if is_float {
+                TokKind::Float
+            } else {
+                TokKind::Int
+            };
+            (end, Lexeme::Token(kind))
+        }
+        0x80..=0xFF => {
+            let w = utf8_len(b);
+            let c = char_at(src, i).expect("every scan starts on a char boundary");
+            if c.is_whitespace() {
+                (i + w, Lexeme::Skip)
+            } else if c.is_alphabetic() {
+                ident(ident_end(src, i + w))
+            } else {
+                (i + w, Lexeme::Token(TokKind::Punct(&src[i..i + w])))
+            }
+        }
+        // Operators, longest match first; else one punctuation character.
+        _ => {
+            let rest = &bytes[i..];
+            let op = OPERATORS.iter().find(|op| rest.starts_with(op.as_bytes()));
+            let end = i + op.map_or(1, |op| op.len());
+            (end, Lexeme::Token(TokKind::Punct(&src[i..end])))
+        }
+    }
+}
+
+/// Whether `b` continues a multi-byte UTF-8 character.
+fn is_continuation(b: u8) -> bool {
+    b & 0xC0 == 0x80
+}
+
+/// Byte length of the UTF-8 character whose first byte is `b`.
+fn utf8_len(b: u8) -> usize {
+    match b {
+        0x00..=0x7F => 1,
+        0x80..=0xDF => 2,
+        0xE0..=0xEF => 3,
+        _ => 4,
+    }
+}
+
+/// The character starting at byte `j`, if `j` is a char boundary in range.
+fn char_at(src: &str, j: usize) -> Option<char> {
+    src.get(j..)?.chars().next()
+}
+
+/// Byte index of the character that ends at byte `j` (`j > 0`).
+fn prev_char(bytes: &[u8], mut j: usize) -> usize {
+    j -= 1;
+    while is_continuation(bytes[j]) {
+        j -= 1;
+    }
+    j
+}
+
+/// Byte index past the run of identifier characters (`_` or Unicode
+/// alphanumerics) starting at `j`.
+fn ident_end(src: &str, mut j: usize) -> usize {
+    let bytes = src.as_bytes();
+    while let Some(&b) = bytes.get(j) {
+        if b.is_ascii_alphanumeric() || b == b'_' {
+            j += 1;
+        } else if !b.is_ascii() && char_at(src, j).is_some_and(char::is_alphanumeric) {
+            j += utf8_len(b);
+        } else {
+            break;
+        }
+    }
+    j
+}
+
+/// Byte index past the (possibly nested) block comment opening at `i`, or
+/// the end of input when it is unterminated.
+fn block_comment_end(bytes: &[u8], i: usize) -> usize {
+    let mut j = i + 2;
+    let mut depth = 1u32;
+    while j < bytes.len() && depth > 0 {
+        match (bytes[j], bytes.get(j + 1)) {
+            (b'/', Some(b'*')) => {
+                depth += 1;
+                j += 2;
+            }
+            (b'*', Some(b'/')) => {
+                depth -= 1;
+                j += 2;
+            }
+            _ => j += 1,
+        }
+    }
+    j
+}
+
+/// If byte `i` (an `r` or `b`) starts a raw/byte string or byte char
+/// (`r"`, `r#"`, `b"`, `br#"`, `b'x'`; `rb"` is not legal Rust but
+/// tolerated), returns the byte index past the whole literal.
+fn prefixed_literal_end(src: &str, i: usize) -> Option<usize> {
+    let bytes = src.as_bytes();
     let mut j = i;
     let mut raw = false;
     // Up to two prefix letters (b, r in either order — only br/r/b are legal).
     for _ in 0..2 {
-        match chars.get(j) {
-            Some('r') => {
+        match bytes.get(j) {
+            Some(b'r') => {
                 raw = true;
                 j += 1;
             }
-            Some('b') => {
-                j += 1;
-            }
+            Some(b'b') => j += 1,
             _ => break,
         }
     }
-    if j == i {
-        return None;
-    }
     if raw {
-        // Count hashes.
-        let mut hashes = 0usize;
-        while chars.get(j) == Some(&'#') {
-            hashes += 1;
-            j += 1;
-        }
-        if chars.get(j) != Some(&'"') {
+        let hashes = bytes[j..].iter().take_while(|&&b| b == b'#').count();
+        j += hashes;
+        if bytes.get(j) != Some(&b'"') {
             return None;
         }
         j += 1;
         // Scan until `"` followed by `hashes` hashes.
-        loop {
-            match chars.get(j) {
-                None => return Some(j - i),
-                Some('"') => {
-                    let mut k = j + 1;
-                    let mut seen = 0usize;
-                    while seen < hashes && chars.get(k) == Some(&'#') {
-                        seen += 1;
-                        k += 1;
-                    }
-                    if seen == hashes {
-                        return Some(k - i);
-                    }
-                    j += 1;
+        while j < bytes.len() {
+            if bytes[j] == b'"' {
+                let seen = bytes[j + 1..]
+                    .iter()
+                    .take(hashes)
+                    .take_while(|&&b| b == b'#');
+                if seen.count() == hashes {
+                    return Some(j + 1 + hashes);
                 }
-                Some(_) => j += 1,
             }
+            j += 1;
         }
+        return Some(bytes.len());
     }
-    // Byte string b"..." (with escapes). If the prefix letters are not
-    // followed by a quote this was just an identifier starting with b/r —
-    // not a string at all.
-    if chars.get(j) == Some(&'"') {
-        let consumed = scan_plain_string(chars, j);
-        return Some(j - i + consumed);
+    // Byte string b"..." (with escapes) or b'x' byte char. Prefix letters
+    // followed by anything else were just an identifier starting with b/r.
+    match bytes.get(j) {
+        Some(b'"') => Some(plain_string_end(bytes, j)),
+        Some(b'\'') => char_literal_end(src, j),
+        _ => None,
     }
-    // b'x' byte char literal.
-    if chars.get(j) == Some(&'\'') {
-        if let Some(consumed) = scan_char_literal(chars, j) {
-            return Some(j - i + consumed);
-        }
-    }
-    None
 }
 
-/// Scans a `"..."` literal starting at the opening quote; returns chars
-/// consumed including both quotes. Handles `\\` and `\"` escapes.
-fn scan_plain_string(chars: &[char], i: usize) -> usize {
+/// Byte index past the `"..."` literal opening at `i`, handling `\\` and
+/// `\"` escapes; the end of input when it is unterminated.
+fn plain_string_end(bytes: &[u8], i: usize) -> usize {
     let mut j = i + 1;
-    while j < chars.len() {
-        match chars[j] {
-            '\\' => j += 2,
-            '"' => return j + 1 - i,
+    while j < bytes.len() {
+        match bytes[j] {
+            b'\\' => j += 2,
+            b'"' => return j + 1,
             _ => j += 1,
         }
     }
-    chars.len() - i
+    bytes.len()
 }
 
-/// Scans a char literal starting at `'`; returns `Some(consumed)` when the
-/// quote really opens a char literal (as opposed to a lifetime).
-fn scan_char_literal(chars: &[char], i: usize) -> Option<usize> {
-    let next = chars.get(i + 1)?;
-    if *next == '\\' {
-        // Escape: consume until closing quote.
-        let mut j = i + 2;
-        if j < chars.len() {
-            j += 1; // the escaped character
-        }
-        // Unicode escapes \u{...} span further.
-        while j < chars.len() && chars[j] != '\'' && chars[j] != '\n' {
+/// Byte index past the char literal opening at the `'` at `i`, or `None`
+/// when the quote opens a lifetime instead.
+fn char_literal_end(src: &str, i: usize) -> Option<usize> {
+    let bytes = src.as_bytes();
+    let next = *bytes.get(i + 1)?;
+    if next == b'\\' {
+        // Escape: skip the escaped character, then run to the closing
+        // quote (`\u{...}` spans further), stopping at a newline.
+        let mut j = (i + 3).min(bytes.len());
+        while j < bytes.len() && bytes[j] != b'\'' && bytes[j] != b'\n' {
             j += 1;
         }
-        if chars.get(j) == Some(&'\'') {
-            return Some(j + 1 - i);
-        }
-        return Some(j - i);
+        return Some(if bytes.get(j) == Some(&b'\'') {
+            j + 1
+        } else {
+            j
+        });
     }
     // 'x' — a char literal only if the character after the payload closes it.
-    if chars.get(i + 2) == Some(&'\'') && *next != '\'' {
-        return Some(3);
-    }
-    None
+    let close = i + 1 + utf8_len(next);
+    (next != b'\'' && bytes.get(close) == Some(&b'\'')).then_some(close + 1)
 }
 
-/// Scans a numeric literal; returns `(consumed, is_float)`.
-fn scan_number(chars: &[char], i: usize) -> (usize, bool) {
-    let mut j = i;
-    let mut is_float = false;
-
-    // Radix prefixes: 0x / 0o / 0b — always integers.
-    if chars[j] == '0' && j + 1 < chars.len() && matches!(chars[j + 1], 'x' | 'o' | 'b' | 'X') {
-        j += 2;
-        while j < chars.len() && (chars[j].is_ascii_alphanumeric() || chars[j] == '_') {
+/// Scans the numeric literal at `i`; returns `(end, is_float)`.
+fn number_end(src: &str, i: usize) -> (usize, bool) {
+    let bytes = src.as_bytes();
+    let digits_end = |mut j: usize| {
+        while bytes
+            .get(j)
+            .is_some_and(|b| b.is_ascii_digit() || *b == b'_')
+        {
             j += 1;
         }
-        return (j - i, false);
+        j
+    };
+
+    // Radix prefixes: 0x / 0o / 0b — always integers.
+    if bytes[i] == b'0' && matches!(bytes.get(i + 1), Some(b'x' | b'o' | b'b' | b'X')) {
+        let run = bytes[i + 2..]
+            .iter()
+            .take_while(|b| b.is_ascii_alphanumeric() || **b == b'_');
+        return (i + 2 + run.count(), false);
     }
 
-    while j < chars.len() && (chars[j].is_ascii_digit() || chars[j] == '_') {
-        j += 1;
-    }
+    let mut j = digits_end(i);
+    let mut is_float = false;
     // Fractional part: a '.' followed by a digit, or a terminal '.' that is
     // neither a range operator (`0..n`) nor a method call (`1.max(2)`).
-    if j < chars.len() && chars[j] == '.' {
-        let after = chars.get(j + 1);
-        let starts_range = after == Some(&'.');
-        let starts_method = after.is_some_and(|c| c.is_alphabetic() || *c == '_');
+    if bytes.get(j) == Some(&b'.') {
+        let after = char_at(src, j + 1);
+        let starts_range = after == Some('.');
+        let starts_method = after.is_some_and(|c| c.is_alphabetic() || c == '_');
         if !starts_range && !starts_method {
             is_float = true;
-            j += 1;
-            while j < chars.len() && (chars[j].is_ascii_digit() || chars[j] == '_') {
-                j += 1;
-            }
+            j = digits_end(j + 1);
         }
     }
     // Exponent.
-    if j < chars.len() && matches!(chars[j], 'e' | 'E') {
+    if matches!(bytes.get(j), Some(b'e' | b'E')) {
         let mut k = j + 1;
-        if k < chars.len() && matches!(chars[k], '+' | '-') {
+        if matches!(bytes.get(k), Some(b'+' | b'-')) {
             k += 1;
         }
-        if k < chars.len() && chars[k].is_ascii_digit() {
+        if bytes.get(k).is_some_and(u8::is_ascii_digit) {
             is_float = true;
-            j = k;
-            while j < chars.len() && (chars[j].is_ascii_digit() || chars[j] == '_') {
-                j += 1;
-            }
+            j = digits_end(k);
         }
     }
     // Type suffix (u32, f64, …).
-    if j < chars.len() && (chars[j].is_alphabetic() || chars[j] == '_') {
-        let suffix_start = j;
-        while j < chars.len() && (chars[j].is_alphanumeric() || chars[j] == '_') {
-            j += 1;
-        }
-        let suffix: String = chars[suffix_start..j].iter().collect();
-        if suffix.starts_with('f') {
-            is_float = true;
-        }
+    if char_at(src, j).is_some_and(|c| c.is_alphabetic() || c == '_') {
+        is_float |= bytes[j] == b'f';
+        j = ident_end(src, j);
     }
-    (j - i, is_float)
+    (j, is_float)
 }
 
 #[cfg(test)]
@@ -562,5 +542,112 @@ mod tests {
         let lexed = lex("/// outer doc\n//! inner doc\nfn x() {}\n");
         assert_eq!(lexed.comments.len(), 2);
         assert_eq!(idents("/// HashMap\nfn x() {}"), vec!["fn", "x"]);
+    }
+
+    /// Edge cases whose token and comment streams are pinned below.
+    const EDGE_CORPUS: &[&str] = &[
+        // Non-ASCII identifiers.
+        "let größe = naïve + Σx + 变量 + ünïcödé_9;",
+        // U+00A0, U+2028 and U+3000 whitespace between tokens.
+        "a\u{a0}b\u{2028}c\u{3000}d\t\u{b}e\r\nf",
+        // Multi-byte and `\u{…}` char literals.
+        "let c = 'é'; let d = '\\u{1F600}'; let e = '😀'; let f = '\\n'; let g = '\\'';",
+        // `b'…'` byte chars and `r##\"…\"##` raw strings.
+        "let b = b'x'; let e = b'\\''; let r = r##\"a \"# b\"##; let s = br#\"q\"#; x",
+        // Unterminated literals and comments, each ending in non-ASCII text.
+        "let s = \"abc é",
+        "let c = '\\u{é",
+        "let r = r#\"never closed ü",
+        "/* open /* nested */ ÿé",
+        "// trailing line comment ✓",
+        // Numbers next to dots, methods and suffixes.
+        "1.é 0..n 1.max(2) 2f64 1e-3 3. 0x1F 7_u8 1E+5 9.5_f32 1e",
+        // Lifetimes and labels, including non-ASCII ones.
+        "fn f<'a, 'ä>(x: &'a str) { 'outer: loop { break 'outer; } }",
+        // Stray non-ASCII punctuation and control characters.
+        "a → b € c © d \u{0} e \u{301}",
+        // Doc comments and a waiver.
+        "/// outer\n//! inner\n/** block doc */ fn x() {} // lint: allow(no-panic)",
+    ];
+
+    #[test]
+    fn token_stream_digest_is_pinned() {
+        let mut text = String::new();
+        let ops = OPERATORS.join(" ");
+        let packed = format!("a{}b", OPERATORS.concat());
+        for src in EDGE_CORPUS
+            .iter()
+            .copied()
+            .chain([ops.as_str(), packed.as_str()])
+        {
+            let lexed = lex(src);
+            text.push_str(&format!("{:?}\n{:?}\n", lexed.tokens, lexed.comments));
+        }
+        let digest = crate::symbols::fnv1a(text.as_bytes());
+        assert_eq!(digest, 0x4bbc_4a89_b8f4_c542, "token stream moved:\n{text}");
+    }
+
+    /// SplitMix64 (DESIGN.md §5), inline so the linter stays dependency-free.
+    struct SplitMix64(u64);
+
+    impl SplitMix64 {
+        fn next_u64(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next_u64() % n as u64) as usize
+        }
+    }
+
+    /// What the property test builds sources from: every delimiter the
+    /// lexer matches, ASCII and multi-byte letters and digits, U+00A0 and
+    /// U+2028 whitespace, a combining mark and stray symbols.
+    const ALPHABET: &[char] = &[
+        'a', 'b', 'r', 'e', 'f', 'x', 'E', '_', '0', '1', '9', '.', '\'', '"', '#', '/', '*', '\\',
+        '\n', ' ', '\t', 'u', '{', '}', '(', ')', '<', '>', '=', '!', '&', '|', '+', '-', ':', ';',
+        ',', '%', '^', 'é', 'ß', 'Σ', '变', '😀', '٣', '\u{a0}', '\u{2028}', '\u{301}', '€', '→',
+        '\u{0}',
+    ];
+
+    #[test]
+    fn seeded_random_sources_lex_consistently() {
+        let mut rng = SplitMix64(0x6C65_7865);
+        for _ in 0..20_000 {
+            let len = rng.below(48);
+            let src: String = (0..len)
+                .map(|_| ALPHABET[rng.below(ALPHABET.len())])
+                .collect();
+            let lexed = lex(&src);
+            for pair in lexed.tokens.windows(2) {
+                let (a, b) = (&pair[0], &pair[1]);
+                assert!(
+                    (a.line, a.col) < (b.line, b.col),
+                    "{src:?}: {a:?} then {b:?}"
+                );
+            }
+            let lines: Vec<&str> = src.split('\n').collect();
+            for t in &lexed.tokens {
+                let (TokKind::Ident(text) | TokKind::Punct(text)) = t.kind else {
+                    continue;
+                };
+                let line = lines[t.line as usize - 1];
+                let rest = line
+                    .char_indices()
+                    .nth(t.col as usize - 1)
+                    .map(|(k, _)| &line[k..]);
+                assert!(
+                    rest.is_some_and(|rest| rest.starts_with(text)),
+                    "{src:?}: {t:?} is not at its position"
+                );
+            }
+            for c in &lexed.comments {
+                assert!(src.contains(c.text), "{src:?}: {c:?}");
+            }
+        }
     }
 }

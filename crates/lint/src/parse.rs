@@ -130,8 +130,8 @@ fn wordy(t: &Token) -> bool {
 }
 
 /// Text form of a token, for joining into normalized type strings.
-fn tok_text(t: &Token) -> &str {
-    match &t.kind {
+fn tok_text<'a>(t: &Token<'a>) -> &'a str {
+    match t.kind {
         TokKind::Ident(s) | TokKind::Punct(s) => s,
         TokKind::Int => "0",
         TokKind::Float => "0.0",
@@ -485,7 +485,7 @@ fn parse_params(tokens: &[Token]) -> Vec<Param> {
 }
 
 /// Splits a token slice on commas at zero bracket *and* angle depth.
-pub(crate) fn split_top_commas(tokens: &[Token]) -> Vec<&[Token]> {
+pub(crate) fn split_top_commas<'t, 'a>(tokens: &'t [Token<'a>]) -> Vec<&'t [Token<'a>]> {
     let mut segs = Vec::new();
     let mut depth = 0i32;
     let mut angle = 0i32;
@@ -583,7 +583,7 @@ fn parse_struct(
 }
 
 /// Drops a leading `pub` / `pub(...)` from a field's token slice.
-fn strip_visibility(seg: &[Token]) -> &[Token] {
+fn strip_visibility<'t, 'a>(seg: &'t [Token<'a>]) -> &'t [Token<'a>] {
     if seg.first().and_then(Token::ident) == Some("pub") {
         if seg.get(1).and_then(Token::punct) == Some("(") {
             if let Some(close) = match_delim(seg, 1) {
@@ -707,24 +707,24 @@ fn parse_impl(tokens: &[Token], kw_idx: usize, end: usize, out: &mut Vec<Item>) 
     // Collect the type path up to `{`; an intervening `for` marks a trait
     // impl, and the implemented type is what follows it.
     let mut is_trait_impl = false;
-    let mut last_ident: Option<String> = None;
+    let mut last_ident = None;
     let mut angle = 0i32;
     while i < end {
-        match &tokens[i].kind {
-            TokKind::Punct(p) if p == "{" && angle == 0 => break,
+        match tokens[i].kind {
+            TokKind::Punct("{") if angle == 0 => break,
             TokKind::Punct(p) => angle += angle_delta(p),
-            TokKind::Ident(s) if s == "for" && angle == 0 => {
+            TokKind::Ident("for") if angle == 0 => {
                 is_trait_impl = true;
                 last_ident = None;
             }
-            TokKind::Ident(s) if s == "where" && angle == 0 => {
+            TokKind::Ident("where") if angle == 0 => {
                 // Type path complete; skip the where clause.
                 while i < end && tokens[i].punct() != Some("{") {
                     i += 1;
                 }
                 break;
             }
-            TokKind::Ident(s) if angle == 0 => last_ident = Some(s.clone()),
+            TokKind::Ident(s) if angle == 0 => last_ident = Some(s),
             _ => {}
         }
         i += 1;
@@ -740,7 +740,7 @@ fn parse_impl(tokens: &[Token], kw_idx: usize, end: usize, out: &mut Vec<Item>) 
     }
     out.push(Item {
         kind: ItemKind::Impl {
-            type_name: type_name.clone(),
+            type_name: type_name.to_owned(),
             is_trait_impl,
         },
         name: String::new(),
@@ -752,7 +752,7 @@ fn parse_impl(tokens: &[Token], kw_idx: usize, end: usize, out: &mut Vec<Item>) 
         in_trait_impl: false,
     });
     if let Some((bstart, bend)) = body {
-        parse_items(tokens, bstart, bend, Some(&type_name), is_trait_impl, out);
+        parse_items(tokens, bstart, bend, Some(type_name), is_trait_impl, out);
     }
     i
 }

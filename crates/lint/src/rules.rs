@@ -20,7 +20,6 @@
 use crate::lexer::{lex, Comment, Lexed, TokKind, Token};
 use crate::parse::{self, ItemKind, ParsedFile};
 use crate::symbols::{crate_of, ty_mentions, Symbols};
-use std::collections::BTreeSet;
 
 /// Machine name of every rule, in L-number order.
 pub const RULE_NAMES: [&str; 10] = [
@@ -414,7 +413,7 @@ pub fn lint_rust_file_semantic(
 fn lint_file(rel: &str, src: &str, scope: FileScope, symbols: Option<&Symbols>) -> FileOutcome {
     let lexed = lex(src);
     let test_lines = test_line_spans(&lexed.tokens);
-    let waivers = collect_waivers(&lexed, src);
+    let waivers = collect_waivers(&lexed);
 
     let mut raw: Vec<Finding> = Vec::new();
     if !scope.is_test_context {
@@ -474,9 +473,14 @@ fn apply_waivers(rel: &str, raw: Vec<Finding>, waivers: Vec<(Rule, u32, u32)>) -
 /// Extracts `lint: allow(rule[, rule])` waivers from comments and computes
 /// each waiver's target line: the comment's own line when code shares it,
 /// otherwise the next line that carries code.
-fn collect_waivers(lexed: &Lexed, src: &str) -> Vec<(Rule, u32, u32)> {
-    let code_lines: BTreeSet<u32> = lexed.tokens.iter().map(|t| t.line).collect();
-    let last_line = src.lines().count() as u32;
+fn collect_waivers(lexed: &Lexed) -> Vec<(Rule, u32, u32)> {
+    // `code[l]`: whether line `l` carries a token. Tokens come in source
+    // order, so the last one is on the last code line.
+    let last_code_line = lexed.tokens.last().map_or(0, |t| t.line as usize);
+    let mut code = vec![false; last_code_line + 1];
+    for t in &lexed.tokens {
+        code[t.line as usize] = true;
+    }
     let mut out = Vec::new();
     for Comment { line, text } in &lexed.comments {
         // Doc comments (`///`, `//!`, `/** .. */`) never carry waivers —
@@ -485,13 +489,10 @@ fn collect_waivers(lexed: &Lexed, src: &str) -> Vec<(Rule, u32, u32)> {
             continue;
         }
         for rule in parse_waiver_rules(text) {
-            let target = if code_lines.contains(line) {
-                *line
-            } else {
-                (*line + 1..=last_line)
-                    .find(|l| code_lines.contains(l))
-                    .unwrap_or(*line)
-            };
+            let target = code
+                .get(*line as usize..)
+                .and_then(|rest| rest.iter().position(|&c| c))
+                .map_or(*line, |k| *line + k as u32);
             out.push((rule, *line, target));
         }
     }
@@ -547,23 +548,22 @@ fn scan_attribute(tokens: &[Token], open: usize) -> (usize, bool) {
     let mut idents = Vec::new();
     let mut j = open;
     while j < tokens.len() {
-        match &tokens[j].kind {
-            TokKind::Punct(p) if p == "[" => depth += 1,
-            TokKind::Punct(p) if p == "]" => {
+        match tokens[j].kind {
+            TokKind::Punct("[") => depth += 1,
+            TokKind::Punct("]") => {
                 depth -= 1;
                 if depth == 0 {
                     j += 1;
                     break;
                 }
             }
-            TokKind::Ident(s) => idents.push(s.as_str().to_owned()),
+            TokKind::Ident(s) => idents.push(s),
             _ => {}
         }
         j += 1;
     }
-    let is_cfg_test =
-        idents.first().is_some_and(|f| f == "cfg") && idents.iter().any(|s| s == "test");
-    let is_bare_test = idents.len() == 1 && idents[0] == "test";
+    let is_cfg_test = idents.first() == Some(&"cfg") && idents.contains(&"test");
+    let is_bare_test = idents == ["test"];
     (j, is_cfg_test || is_bare_test)
 }
 
@@ -1288,6 +1288,18 @@ mod tests {
 
         let above = "fn f() {\n // lint: allow(no-panic) — invariant\n x.unwrap();\n}";
         assert!(lint(above).findings.is_empty());
+    }
+
+    #[test]
+    fn waiver_targets_its_own_or_the_next_code_line() {
+        let src = "let a = 1; // lint: allow(no-panic)\n\
+                   // lint: allow(float-eq)\n\n// note\n\nlet b = 2;\n\
+                   // lint: allow(wall-clock)\n";
+        let targets: Vec<(u32, u32)> = collect_waivers(&lex(src))
+            .into_iter()
+            .map(|(_, line, target)| (line, target))
+            .collect();
+        assert_eq!(targets, vec![(1, 1), (2, 6), (7, 7)]);
     }
 
     #[test]

@@ -2,7 +2,10 @@
 //!
 //! `std::fs::read_dir` order is filesystem-dependent; the walker sorts
 //! every directory's entries by name so the scan order — and therefore the
-//! report — is identical on every machine.
+//! report — is identical on every machine. It never follows a symlink
+//! into a directory: a link such as `src/up -> ..` would otherwise make
+//! the tree cyclic and list its files once per level until the OS gives up
+//! resolving the path.
 
 use std::fs;
 use std::io;
@@ -21,23 +24,21 @@ pub fn walk(root: &Path) -> io::Result<Vec<String>> {
 }
 
 fn walk_dir(root: &Path, dir: &Path, out: &mut Vec<String>) -> io::Result<()> {
-    let mut entries: Vec<PathBuf> = fs::read_dir(dir)?
-        .collect::<Result<Vec<_>, _>>()?
-        .into_iter()
-        .map(|e| e.path())
-        .collect();
-    entries.sort();
-    for path in entries {
-        let name = path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or_default()
-            .to_owned();
-        if path.is_dir() {
-            if SKIP_DIRS.contains(&name.as_str()) {
+    // `DirEntry::file_type` does not follow symlinks; `Path::is_dir` does.
+    let mut entries: Vec<(PathBuf, fs::FileType)> = fs::read_dir(dir)?
+        .map(|e| e.and_then(|e| Ok((e.path(), e.file_type()?))))
+        .collect::<io::Result<_>>()?;
+    entries.sort_by(|a, b| a.0.cmp(&b.0));
+    for (path, file_type) in entries {
+        if file_type.is_dir() {
+            let name = path.file_name().unwrap_or_default();
+            if SKIP_DIRS.iter().any(|skip| name == *skip) {
                 continue;
             }
             walk_dir(root, &path, out)?;
+        } else if file_type.is_symlink() && path.is_dir() {
+            // A symlink to a directory: never descended into.
+            continue;
         } else if let Ok(rel) = path.strip_prefix(root) {
             let rel: Vec<String> = rel
                 .components()
@@ -64,6 +65,44 @@ mod tests {
         fs::write(dir.join(".git/ignored"), "").unwrap();
         let files = walk(&dir).unwrap();
         assert_eq!(files, vec!["a.rs".to_owned(), "b/inner/z.rs".to_owned()]);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn directory_symlinks_are_not_followed() {
+        use std::os::unix::fs::symlink;
+        let dir = std::env::temp_dir().join(format!("margins-lint-loop-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(dir.join("crates/sim/src")).unwrap();
+        let src = dir.join("crates/sim/src");
+        fs::write(
+            src.join("lib.rs"),
+            "pub fn f() { let _r = thread_rng(); }\n",
+        )
+        .unwrap();
+        fs::write(src.join("notes.txt"), "").unwrap();
+        symlink(".", src.join("loop")).unwrap();
+        symlink("notes.txt", src.join("link.txt")).unwrap();
+
+        let files = walk(&dir).unwrap();
+        assert_eq!(
+            files,
+            vec![
+                "crates/sim/src/lib.rs".to_owned(),
+                "crates/sim/src/link.txt".to_owned(),
+                "crates/sim/src/notes.txt".to_owned(),
+            ],
+            "a directory symlink is skipped; a file symlink is still listed"
+        );
+        let report = crate::lint_workspace(&dir).unwrap();
+        let rng: Vec<_> = report
+            .findings
+            .iter()
+            .filter(|f| f.rule == crate::Rule::UnseededRng)
+            .collect();
+        assert_eq!(rng.len(), 1, "{:?}", report.findings);
+        assert_eq!(rng[0].file, "crates/sim/src/lib.rs");
         fs::remove_dir_all(&dir).unwrap();
     }
 }
