@@ -5,6 +5,7 @@ mod common;
 
 use common::{bench, bench_with_setup};
 use margins_core::config::CampaignConfig;
+use margins_core::exec::{ExecContext, SerialExecutor};
 use margins_core::runner::Campaign;
 use margins_sim::{ChipSpec, CoreId, Corner, Millivolts, System, SystemConfig};
 use margins_workloads::{suite, Dataset};
@@ -43,7 +44,9 @@ fn bench_mini_sweep() {
         .unwrap();
     let campaign = Campaign::new(ChipSpec::new(Corner::Ttt, 0), config);
     bench("fig4/mini_sweep(namd,core4,5steps,2iters)", || {
-        campaign.execute()
+        campaign
+            .run(&SerialExecutor, ExecContext::new())
+            .expect("built-in executors uphold the delivery contract")
     });
 }
 

@@ -92,11 +92,7 @@ fn main() {
         let mut metrics = metrics_out
             .as_ref()
             .map(|_| margins_trace::MetricsRegistry::new());
-        let c = match fig34::characterize_all_instrumented(
-            &scale,
-            trace_dir.as_deref(),
-            metrics.as_mut(),
-        ) {
+        let c = match fig34::characterize_all(&scale, trace_dir.as_deref(), metrics.as_mut()) {
             Ok(c) => c,
             Err(e) => {
                 eprintln!("--trace-dir: {e}");

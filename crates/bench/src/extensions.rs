@@ -12,6 +12,7 @@
 use crate::scale::Scale;
 use margins_core::config::{CampaignConfig, SweptRail};
 use margins_core::effect::Effect;
+use margins_core::exec::{ExecContext, ThreadPoolExecutor};
 use margins_core::regions::{analyze, CharacterizationResult, RegionKind};
 use margins_core::runner::Campaign;
 use margins_core::severity::SeverityWeights;
@@ -64,7 +65,12 @@ pub fn sec6_ablation(spec: ChipSpec, benchmark: &str, scale: &Scale) -> Vec<Sec6
                 .seed(0x6_6_6)
                 .build()
                 .expect("sec6 configuration is valid");
-            let outcome = Campaign::new(spec, config).execute_parallel(scale.threads);
+            let outcome = Campaign::new(spec, config)
+                .run(
+                    &ThreadPoolExecutor::clamped(scale.threads),
+                    ExecContext::new(),
+                )
+                .expect("built-in executors uphold the delivery contract");
             Sec6Variant {
                 label,
                 enhancements,
@@ -150,7 +156,12 @@ pub fn soc_rail_characterization(spec: ChipSpec, scale: &Scale) -> Characterizat
         .seed(0x50C)
         .build()
         .expect("SoC-rail configuration is valid");
-    let outcome = Campaign::new(spec, config).execute_parallel(scale.threads);
+    let outcome = Campaign::new(spec, config)
+        .run(
+            &ThreadPoolExecutor::clamped(scale.threads),
+            ExecContext::new(),
+        )
+        .expect("built-in executors uphold the delivery contract");
     analyze(&outcome, &SeverityWeights::paper())
 }
 

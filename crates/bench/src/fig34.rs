@@ -18,15 +18,11 @@ pub struct ChipCharacterization {
     pub result: CharacterizationResult,
 }
 
-/// Runs the Figure 3/4 characterization for one chip at the given scale.
+/// Runs the Figure 3/4 characterization for one chip at the given scale,
+/// streaming the campaign's telemetry into `sinks` (an empty slice
+/// disables tracing entirely).
 #[must_use]
-pub fn characterize_chip(spec: ChipSpec, scale: &Scale) -> ChipCharacterization {
-    characterize_chip_traced(spec, scale, &mut [])
-}
-
-/// Like [`characterize_chip`], but streams the campaign's telemetry into
-/// `sinks` (an empty slice disables tracing entirely).
-pub fn characterize_chip_traced(
+pub fn characterize_chip(
     spec: ChipSpec,
     scale: &Scale,
     sinks: &mut [&mut dyn margins_trace::Sink],
@@ -41,8 +37,8 @@ pub fn characterize_chip_traced(
         .seed(0xF164)
         .build()
         .expect("figure-4 configuration is valid");
-    // Drive the unified run path directly; the pool clamps like the old
-    // `execute_traced` shim, and the trace stream is executor-invariant.
+    // The trace stream is executor-invariant, so the pool width is a pure
+    // tuning knob.
     let outcome = Campaign::new(spec, config)
         .run(
             &ThreadPoolExecutor::clamped(scale.threads),
@@ -59,36 +55,18 @@ pub fn characterize_chip_traced(
 }
 
 /// Runs the characterization for all three reference chips.
-#[must_use]
-pub fn characterize_all(scale: &Scale) -> Vec<ChipCharacterization> {
-    characterize_all_traced(scale, None).expect("tracing disabled, no IO to fail")
-}
-
-/// Runs the characterization for all three reference chips, writing one
-/// deterministic JSONL telemetry stream per chip into `trace_dir` when one
-/// is given (`fig34-<chip>.jsonl`).
 ///
-/// # Errors
-///
-/// Returns the first IO error hit while creating or writing a trace file.
-pub fn characterize_all_traced(
-    scale: &Scale,
-    trace_dir: Option<&std::path::Path>,
-) -> std::io::Result<Vec<ChipCharacterization>> {
-    characterize_all_instrumented(scale, trace_dir, None)
-}
-
-/// Like [`characterize_all_traced`], but with the full observability
-/// surface: alongside each chip's JSONL stream a per-chip analytics
-/// summary (`fig34-<chip>-summary.md`, via `margins-scope`) is written,
-/// and when a `metrics` registry is supplied every chip's record stream
-/// is accumulated into it for OpenMetrics exposition.
+/// When `trace_dir` is given, each chip writes one deterministic JSONL
+/// telemetry stream (`fig34-<chip>.jsonl`) and an analytics summary
+/// (`fig34-<chip>-summary.md`, via `margins-scope`) into it; when a
+/// `metrics` registry is supplied, every chip's record stream is
+/// accumulated into it for OpenMetrics exposition.
 ///
 /// # Errors
 ///
 /// Returns the first IO error hit while creating or writing an output
 /// file.
-pub fn characterize_all_instrumented(
+pub fn characterize_all(
     scale: &Scale,
     trace_dir: Option<&std::path::Path>,
     mut metrics: Option<&mut margins_trace::MetricsRegistry>,
@@ -97,7 +75,7 @@ pub fn characterize_all_instrumented(
     for spec in crate::chips::all() {
         let instrumented = trace_dir.is_some() || metrics.is_some();
         if !instrumented {
-            out.push(characterize_chip(spec, scale));
+            out.push(characterize_chip(spec, scale, &mut []));
             continue;
         }
         // One in-memory copy of the stream serves the summary, the
@@ -109,7 +87,7 @@ pub fn characterize_all_instrumented(
                 let stem = format!("fig34-{}", spec.to_string().replace('#', "-"));
                 let file = std::fs::File::create(dir.join(format!("{stem}.jsonl")))?;
                 let mut sink = margins_trace::JsonlSink::new(std::io::BufWriter::new(file));
-                let c = characterize_chip_traced(spec, scale, &mut [&mut sink, &mut memory]);
+                let c = characterize_chip(spec, scale, &mut [&mut sink, &mut memory]);
                 sink.into_inner()?;
                 let summary = margins_scope::summarize_records(&memory.records)
                     .map_err(|e| std::io::Error::other(e.to_string()))?;
@@ -119,7 +97,7 @@ pub fn characterize_all_instrumented(
                 )?;
                 c
             }
-            None => characterize_chip_traced(spec, scale, &mut [&mut memory]),
+            None => characterize_chip(spec, scale, &mut [&mut memory]),
         };
         if let Some(registry) = metrics.as_deref_mut() {
             for record in &memory.records {

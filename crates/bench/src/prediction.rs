@@ -5,6 +5,7 @@ use margins_core::config::{BenchmarkRef, CampaignConfig};
 use margins_core::dataset::{
     severity_feature_names, severity_samples, to_matrix, vmin_feature_names, vmin_samples,
 };
+use margins_core::exec::{ExecContext, ThreadPoolExecutor};
 use margins_core::regions::analyze;
 use margins_core::runner::{profile, Campaign};
 use margins_core::severity::SeverityWeights;
@@ -88,7 +89,12 @@ fn characterize_core(
         .seed(0x9E_D1C7)
         .build()
         .expect("prediction campaign configuration is valid");
-    let outcome = Campaign::new(spec, config).execute_parallel(scale.threads);
+    let outcome = Campaign::new(spec, config)
+        .run(
+            &ThreadPoolExecutor::clamped(scale.threads),
+            ExecContext::new(),
+        )
+        .expect("built-in executors uphold the delivery contract");
     analyze(&outcome, &SeverityWeights::paper())
 }
 

@@ -2,6 +2,7 @@
 
 use crate::scale::Scale;
 use margins_core::config::CampaignConfig;
+use margins_core::exec::{ExecContext, ThreadPoolExecutor};
 use margins_core::regions::{analyze, CharacterizationResult};
 use margins_core::runner::Campaign;
 use margins_core::severity::SeverityWeights;
@@ -23,7 +24,12 @@ pub fn divided_regime(spec: ChipSpec, scale: &Scale) -> CharacterizationResult {
         .seed(0x3_2_2)
         .build()
         .expect("divided-regime configuration is valid");
-    let outcome = Campaign::new(spec, config).execute_parallel(scale.threads);
+    let outcome = Campaign::new(spec, config)
+        .run(
+            &ThreadPoolExecutor::clamped(scale.threads),
+            ExecContext::new(),
+        )
+        .expect("built-in executors uphold the delivery contract");
     analyze(&outcome, &SeverityWeights::paper())
 }
 
@@ -94,7 +100,9 @@ pub fn selftest_characterization(
         .seed(0x3_4_4)
         .build()
         .expect("self-test configuration is valid");
-    let outcome = Campaign::new(spec, config).execute_parallel(threads);
+    let outcome = Campaign::new(spec, config)
+        .run(&ThreadPoolExecutor::clamped(threads), ExecContext::new())
+        .expect("built-in executors uphold the delivery contract");
     analyze(&outcome, &SeverityWeights::paper())
 }
 

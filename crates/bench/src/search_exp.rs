@@ -70,14 +70,11 @@ pub fn run_config(
     let grid_steps = u64::from(grid_per_item) * items;
     let campaign = Campaign::new(spec, config);
     let mut metrics = MetricsRegistry::new();
-    // Attach the registry through `ExecContext` instead of disguising it
-    // as a trace sink: the unified run path folds it into the finalized
-    // stream exactly like `execute_metered` does.
     let outcome = campaign
         .run(
             &ThreadPoolExecutor::clamped(threads),
             ExecContext {
-                metrics: Some(&mut metrics),
+                sinks: &mut [&mut metrics],
                 priors,
                 ..ExecContext::new()
             },

@@ -47,6 +47,7 @@ pub fn table3_report() -> String {
 
     // Live demonstration on a fast sweep.
     use margins_core::config::CampaignConfig;
+    use margins_core::exec::{ExecContext, SerialExecutor};
     use margins_core::runner::Campaign;
     use margins_sim::{ChipSpec, CoreId, Corner, Millivolts};
     let cfg = CampaignConfig::builder()
@@ -58,7 +59,9 @@ pub fn table3_report() -> String {
         .seed(0x7AB1E3)
         .build()
         .expect("table-3 demo configuration is valid");
-    let outcome = Campaign::new(ChipSpec::new(Corner::Ttt, 0), cfg).execute();
+    let outcome = Campaign::new(ChipSpec::new(Corner::Ttt, 0), cfg)
+        .run(&SerialExecutor, ExecContext::new())
+        .expect("built-in executors uphold the delivery contract");
     let mut counts = std::collections::BTreeMap::new();
     for r in &outcome.runs {
         if r.effects.is_normal() {

@@ -42,6 +42,7 @@ fn fig_reports_render_from_a_tiny_characterization() {
     let chars = vec![fig34::characterize_chip(
         ChipSpec::new(Corner::Ttt, 0),
         &scale,
+        &mut [],
     )];
 
     let f3 = fig34::fig3_report(&chars, &scale);

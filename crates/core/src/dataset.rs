@@ -122,6 +122,7 @@ pub fn to_matrix(samples: &[PredictionSample]) -> (Vec<Vec<f64>>, Vec<f64>) {
 mod tests {
     use super::*;
     use crate::config::CampaignConfig;
+    use crate::exec::{ExecContext, SerialExecutor};
     use crate::runner::{profile, Campaign};
     use crate::severity::SeverityWeights;
     use margins_sim::counters::NUM_EVENTS;
@@ -138,7 +139,9 @@ mod tests {
             .build()
             .unwrap();
         let spec = ChipSpec::new(Corner::Ttt, 0);
-        let out = Campaign::new(spec, cfg.clone()).execute();
+        let out = Campaign::new(spec, cfg.clone())
+            .run(&SerialExecutor, ExecContext::new())
+            .expect("built-in executors uphold the delivery contract");
         let result = crate::regions::analyze(&out, &SeverityWeights::paper());
         let profiles = profile(spec, &cfg.benchmarks, CoreId::new(0)).expect("validated names");
         (result, profiles)

@@ -30,7 +30,7 @@ use crate::profile::PhaseTallies;
 use crate::runner::{Campaign, TracedItem};
 use crate::search::SearchPriors;
 use margins_sim::CoreId;
-use margins_trace::{MetricsRegistry, Sink};
+use margins_trace::Sink;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::mpsc;
@@ -204,10 +204,6 @@ impl ItemOutput {
 /// or an outcome. Items themselves may execute on any thread in any
 /// order; only delivery is ordered.
 pub trait CampaignExecutor: Sync {
-    /// A short human-readable engine name (CLI/log display only — never
-    /// part of the deterministic stream).
-    fn label(&self) -> &'static str;
-
     /// Executes every item of `task`, delivering outputs in canonical
     /// order.
     ///
@@ -230,10 +226,6 @@ pub trait CampaignExecutor: Sync {
 pub struct SerialExecutor;
 
 impl CampaignExecutor for SerialExecutor {
-    fn label(&self) -> &'static str {
-        "serial"
-    }
-
     fn run_items(
         &self,
         task: &ItemTask<'_>,
@@ -284,8 +276,9 @@ impl ThreadPoolExecutor {
     }
 
     /// A pool of `threads` workers clamped into the valid range
-    /// `1..=MAX_THREADS` — the historical `execute_parallel` semantics,
-    /// where 0 silently meant 1.
+    /// `1..=MAX_THREADS` (0 means 1), for callers whose width is a tuning
+    /// knob rather than user input; user-supplied counts go through
+    /// [`ThreadPoolExecutor::new`] so nonsense is rejected, not rounded.
     #[must_use]
     pub fn clamped(threads: usize) -> ThreadPoolExecutor {
         ThreadPoolExecutor {
@@ -302,10 +295,6 @@ impl ThreadPoolExecutor {
 }
 
 impl CampaignExecutor for ThreadPoolExecutor {
-    fn label(&self) -> &'static str {
-        "pool"
-    }
-
     fn run_items(
         &self,
         task: &ItemTask<'_>,
@@ -374,25 +363,25 @@ pub enum CacheHandle<'a> {
 }
 
 /// Everything a campaign execution carries besides the executor: sinks,
-/// metrics, cache, priors, and the profile rollup destination — one
-/// context struct instead of five parameter permutations.
+/// cache, priors, and the profile rollup destination.
 ///
-/// All fields default to "off" ([`ExecContext::default`]), matching the
-/// bare `execute()` path: no sinks means no event is ever constructed.
+/// All fields default to "off" ([`ExecContext::new`]); set any subset with
+/// struct-update syntax, `ExecContext { sinks, ..ExecContext::new() }`.
 #[derive(Default)]
 pub struct ExecContext<'s, 'a> {
     /// Sinks receiving the finalized record stream, live and in canonical
-    /// order. Empty disables tracing entirely.
+    /// order; a [`MetricsRegistry`](margins_trace::MetricsRegistry) is one
+    /// more sink. Empty disables tracing entirely: no event is ever
+    /// constructed, and the outcome is identical either way.
     pub sinks: &'s mut [&'a mut dyn Sink],
-    /// Campaign result cache (probes are replayed on hit, inserted on
-    /// miss).
+    /// Campaign result cache: every probe is looked up by its full
+    /// coordinate key and replayed on a hit; misses execute on a pristine
+    /// board and are written back after the last delivery.
     pub cache: Option<CacheHandle<'s>>,
     /// Warm-start priors; when `None` and a cache is present, priors are
-    /// derived from the cache before execution starts.
+    /// derived from the cache view before the first probe executes, so
+    /// warm-started searches stay schedule-independent.
     pub priors: Option<&'s SearchPriors>,
-    /// When present, rides the sink stream and accumulates the campaign's
-    /// metrics (its presence alone makes the execution traced).
-    pub metrics: Option<&'s mut MetricsRegistry>,
     /// When present, receives the campaign-level profile tallies —
     /// always computed, independent of `config.profile` (which only gates
     /// the trace events).
@@ -453,11 +442,5 @@ mod tests {
         }
         .to_string();
         assert!(msg.contains("3 of 8"), "{msg}");
-    }
-
-    #[test]
-    fn executor_labels_are_stable() {
-        assert_eq!(SerialExecutor.label(), "serial");
-        assert_eq!(ThreadPoolExecutor::clamped(2).label(), "pool");
     }
 }

@@ -29,6 +29,7 @@
 //!
 //! ```
 //! use margins_core::config::CampaignConfig;
+//! use margins_core::exec::{ExecContext, SerialExecutor};
 //! use margins_core::runner::Campaign;
 //! use margins_sim::{ChipSpec, Corner, CoreId, Millivolts};
 //!
@@ -41,7 +42,9 @@
 //!     .floor_voltage(Millivolts::new(860))
 //!     .build()
 //!     .unwrap();
-//! let result = Campaign::new(ChipSpec::new(Corner::Ttt, 0), config).execute();
+//! let result = Campaign::new(ChipSpec::new(Corner::Ttt, 0), config)
+//!     .run(&SerialExecutor, ExecContext::new())
+//!     .expect("built-in executors uphold the delivery contract");
 //! assert!(!result.runs.is_empty());
 //! ```
 

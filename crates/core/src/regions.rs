@@ -282,6 +282,7 @@ fn mean(xs: &[f64]) -> Option<f64> {
 mod tests {
     use super::*;
     use crate::config::CampaignConfig;
+    use crate::exec::{ExecContext, SerialExecutor};
     use crate::runner::Campaign;
     use margins_sim::Corner;
 
@@ -295,7 +296,9 @@ mod tests {
             .seed(3)
             .build()
             .unwrap();
-        let out = Campaign::new(ChipSpec::new(Corner::Ttt, 0), cfg).execute();
+        let out = Campaign::new(ChipSpec::new(Corner::Ttt, 0), cfg)
+            .run(&SerialExecutor, ExecContext::new())
+            .expect("built-in executors uphold the delivery contract");
         analyze(&out, &SeverityWeights::paper())
     }
 
@@ -370,7 +373,9 @@ mod tests {
             .seed(5)
             .build()
             .unwrap();
-        let out = Campaign::new(ChipSpec::new(Corner::Ttt, 0), cfg).execute();
+        let out = Campaign::new(ChipSpec::new(Corner::Ttt, 0), cfg)
+            .run(&SerialExecutor, ExecContext::new())
+            .expect("built-in executors uphold the delivery contract");
         let r = analyze(&out, &SeverityWeights::paper());
         let (robust, robust_v) = r.most_robust_core("milc").unwrap();
         let (sensitive, sensitive_v) = r.most_sensitive_core("milc").unwrap();

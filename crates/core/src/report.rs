@@ -142,6 +142,7 @@ fn optf(v: Option<f64>) -> String {
 mod tests {
     use super::*;
     use crate::config::CampaignConfig;
+    use crate::exec::{ExecContext, SerialExecutor};
     use crate::runner::Campaign;
     use crate::severity::SeverityWeights;
     use margins_sim::{ChipSpec, CoreId, Corner, Millivolts};
@@ -156,7 +157,9 @@ mod tests {
             .seed(4)
             .build()
             .unwrap();
-        Campaign::new(ChipSpec::new(Corner::Ttt, 0), cfg).execute()
+        Campaign::new(ChipSpec::new(Corner::Ttt, 0), cfg)
+            .run(&SerialExecutor, ExecContext::new())
+            .expect("built-in executors uphold the delivery contract")
     }
 
     #[test]

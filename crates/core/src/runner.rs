@@ -24,9 +24,7 @@ use crate::cache::{
 use crate::classify::{classify_run, ClassifiedRun};
 use crate::config::SweptRail;
 use crate::config::{BenchmarkRef, CampaignConfig};
-use crate::exec::{
-    CacheHandle, CampaignExecutor, ExecContext, ExecError, ItemTask, ThreadPoolExecutor, WorkItem,
-};
+use crate::exec::{CacheHandle, CampaignExecutor, ExecContext, ExecError, ItemTask, WorkItem};
 use crate::profile::{Phase, PhaseTallies};
 use crate::search::{SearchPlan, SearchPriors, StepVerdict};
 use crate::severity::SeverityWeights;
@@ -34,7 +32,7 @@ use crate::watchdog::Watchdog;
 use margins_rng::splitmix64;
 use margins_sim::volt::{Millivolts, PMD_NOMINAL, SOC_NOMINAL};
 use margins_sim::{ChipSpec, CoreId, CounterFile, OutputDigest, PmdId, System, SystemConfig};
-use margins_trace::{EventBuffer, MetricsRegistry, Observer, Sink, StreamFinalizer, TraceEvent};
+use margins_trace::{EventBuffer, Observer, Sink, StreamFinalizer, TraceEvent};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -80,139 +78,7 @@ impl Campaign {
         &self.config
     }
 
-    /// Executes the campaign serially.
-    ///
-    /// Thin shim over [`Campaign::run`] with a [`SerialExecutor`] and an
-    /// all-off context — results are identical to every other execution
-    /// path of the same campaign.
-    ///
-    /// [`SerialExecutor`]: crate::exec::SerialExecutor
-    #[must_use]
-    pub fn execute(&self) -> CampaignOutcome {
-        self.run(&crate::exec::SerialExecutor, ExecContext::new())
-            // lint: allow(no-panic) — built-in executors deliver every item in order
-            .expect("built-in executors uphold the delivery contract")
-    }
-
-    /// Executes the campaign sharded over `threads` worker threads, one
-    /// pristine simulated board per probe. Results are bit-identical to
-    /// the serial execution: run seeds depend only on (campaign seed,
-    /// benchmark, core, voltage, iteration), and every probe starts from
-    /// power-on state, never from another probe's board history.
-    ///
-    /// Thin shim over [`Campaign::run`] with a clamped
-    /// [`ThreadPoolExecutor`] (0 means 1, as it always has).
-    #[must_use]
-    pub fn execute_parallel(&self, threads: usize) -> CampaignOutcome {
-        self.execute_traced(threads, &mut [])
-    }
-
-    /// Executes the campaign sharded over `threads` workers while streaming
-    /// telemetry into `sinks`.
-    ///
-    /// Every sink receives the same finalized record stream, live and in
-    /// canonical order: the campaign preamble (`CampaignStarted`, one
-    /// `ShardScheduled` per (benchmark, core) work item — the *logical*
-    /// shard; which worker thread executes it is an execution detail the
-    /// trace never records), then each item's events in item order —
-    /// benchmarks-major, exactly the order the serial execution visits
-    /// them — then the `CampaignFinished` summary.
-    /// Workers stage their events in per-item buffers; the merge thread
-    /// releases an item's events as soon as its place in the canonical
-    /// order is reached, so the stream is *byte-deterministic* for a fixed
-    /// (chip, configuration) regardless of `threads` or scheduling, while
-    /// progress sinks still see events during the campaign.
-    ///
-    /// Passing no sinks disables tracing entirely: no event is ever
-    /// constructed, and campaign results are identical either way.
-    ///
-    /// Thin shim over [`Campaign::run`]: sinks ride the context, the
-    /// executor is a clamped [`ThreadPoolExecutor`].
-    #[must_use]
-    pub fn execute_traced(&self, threads: usize, sinks: &mut [&mut dyn Sink]) -> CampaignOutcome {
-        self.execute_with(threads, sinks, None, None)
-    }
-
-    /// Executes the campaign like [`Campaign::execute_with`] while also
-    /// accumulating the record stream into a [`MetricsRegistry`], returned
-    /// alongside the outcome.
-    ///
-    /// The registry rides the same finalized stream as every other sink,
-    /// so its snapshot is a pure function of the byte-deterministic
-    /// records: serial and sharded executions of the same campaign return
-    /// identical registries.
-    /// Thin shim over [`Campaign::run`]: the registry rides the context's
-    /// `metrics` slot and is folded into the sink fan-out by `run` itself.
-    #[must_use]
-    pub fn execute_metered(
-        &self,
-        threads: usize,
-        sinks: &mut [&mut dyn Sink],
-        cache: Option<&mut CampaignCache>,
-        priors: Option<&SearchPriors>,
-    ) -> (CampaignOutcome, MetricsRegistry) {
-        let mut metrics = MetricsRegistry::new();
-        let outcome = self
-            .run(
-                &ThreadPoolExecutor::clamped(threads),
-                ExecContext {
-                    sinks,
-                    cache: cache.map(CacheHandle::Owned),
-                    priors,
-                    metrics: Some(&mut metrics),
-                    profile_out: None,
-                },
-            )
-            // lint: allow(no-panic) — built-in executors deliver every item in order
-            .expect("built-in executors uphold the delivery contract");
-        (outcome, metrics)
-    }
-
-    /// Executes the campaign with an optional persistent result `cache`
-    /// and optional warm-start `priors`.
-    ///
-    /// When a cache is supplied, every golden capture and voltage-step
-    /// probe is first looked up by its full coordinate key (chip, rail,
-    /// frequencies, enhancements, seed, iteration count, benchmark,
-    /// dataset, core, voltage); a hit replays the stored outcome without
-    /// touching a board, a miss executes the probe and inserts the result
-    /// back into the cache after the campaign. Because each probe runs on
-    /// a pristine board, replays are exact: the outcome (runs, goldens,
-    /// regions, power-cycle totals) of a cached rerun is identical to a
-    /// cold execution. Campaigns that collect performance counters bypass
-    /// the cache — cached entries do not retain counter files.
-    ///
-    /// `priors` seed [`SearchStrategy::WarmStart`]; when `None` and a
-    /// cache is supplied, priors are derived from the cache before
-    /// execution starts, so warm-started searches stay
-    /// schedule-independent.
-    ///
-    /// Thin shim over [`Campaign::run`] with a clamped
-    /// [`ThreadPoolExecutor`] and the cache exclusively owned.
-    #[must_use]
-    pub fn execute_with(
-        &self,
-        threads: usize,
-        sinks: &mut [&mut dyn Sink],
-        cache: Option<&mut CampaignCache>,
-        priors: Option<&SearchPriors>,
-    ) -> CampaignOutcome {
-        self.run(
-            &ThreadPoolExecutor::clamped(threads),
-            ExecContext {
-                sinks,
-                cache: cache.map(CacheHandle::Owned),
-                priors,
-                metrics: None,
-                profile_out: None,
-            },
-        )
-        // lint: allow(no-panic) — built-in executors deliver every item in order
-        .expect("built-in executors uphold the delivery contract")
-    }
-
-    /// Executes the campaign on `exec` — the one real execution path every
-    /// `execute*` shim funnels into.
+    /// Executes the campaign on `exec` — the one way to run a campaign.
     ///
     /// The campaign enumerates its canonical work items (benchmarks-major
     /// × cores, index = canonical position), hands them to the executor,
@@ -222,14 +88,35 @@ impl Campaign {
     /// fresh cache entries. Which engine ran the items — and with how many
     /// workers — is invisible in every output: the trace stream, the
     /// metrics exposition, the profile rollups and the outcome are all
-    /// byte-identical across conforming executors. Executor identity is
+    /// byte-identical across conforming executors, because run seeds depend
+    /// only on (campaign seed, benchmark, core, voltage, iteration) and
+    /// every probe boots a pristine board. Executor identity is
     /// deliberately absent from the trace schema.
     ///
-    /// Cache semantics ([`CacheHandle`]): the campaign reads one immutable
-    /// cache view fixed before the first probe (for a shared cache, an
-    /// [`Arc`] snapshot), so lookups never race with writers; fresh
-    /// results are written back after the last delivery — directly into an
-    /// owned cache, or appended and published to a shared one.
+    /// Every sink in [`ExecContext::sinks`] receives the same finalized
+    /// record stream, live and in canonical order: the preamble
+    /// (`CampaignStarted`, one `ShardScheduled` per work item — the
+    /// *logical* shard), each item's events in item order, then the
+    /// `CampaignFinished` summary. A [`MetricsRegistry`] is just another
+    /// sink on that stream. Passing no sinks disables tracing entirely: no
+    /// event is ever constructed, and the outcome is identical either way.
+    ///
+    /// Cache semantics ([`CacheHandle`]): every golden capture and
+    /// voltage-step probe is first looked up by its full coordinate key
+    /// (chip, rail, frequencies, enhancements, seed, iteration count,
+    /// benchmark, dataset, core, voltage); a hit replays the stored outcome
+    /// without touching a board, so a cached rerun's outcome equals a cold
+    /// one. The campaign reads one immutable cache view fixed before the
+    /// first probe (for a shared cache, an [`Arc`] snapshot), so lookups
+    /// never race with writers; fresh results are written back after the
+    /// last delivery — directly into an owned cache, or appended and
+    /// published to a shared one. Campaigns that collect performance
+    /// counters bypass the cache (entries do not retain counter files).
+    ///
+    /// Warm-start priors ([`SearchStrategy::WarmStart`]) come from
+    /// [`ExecContext::priors`]; when that is `None` and a cache is present,
+    /// they are derived from the cache view before the first probe, so
+    /// warm-started searches stay schedule-independent.
     ///
     /// # Errors
     ///
@@ -237,6 +124,9 @@ impl Campaign {
     /// (out-of-order or incomplete delivery). The built-in executors never
     /// do; the check exists so third-party executors fail loudly instead
     /// of corrupting a stream.
+    ///
+    /// [`MetricsRegistry`]: margins_trace::MetricsRegistry
+    /// [`SearchStrategy::WarmStart`]: crate::search::SearchStrategy::WarmStart
     pub fn run(
         &self,
         exec: &dyn CampaignExecutor,
@@ -246,19 +136,8 @@ impl Campaign {
             sinks,
             cache,
             priors,
-            metrics,
             profile_out,
         } = ctx;
-        // The metrics registry is just another sink riding the finalized
-        // stream; folding it here keeps `execute_metered` a thin shim.
-        let mut all_sinks: Vec<&mut dyn Sink> = Vec::with_capacity(sinks.len() + 1);
-        for sink in sinks.iter_mut() {
-            all_sinks.push(&mut **sink);
-        }
-        if let Some(metrics) = metrics {
-            all_sinks.push(metrics);
-        }
-        let sinks: &mut [&mut dyn Sink] = &mut all_sinks;
 
         let items: Vec<WorkItem> = self
             .config
@@ -1194,6 +1073,7 @@ fn run_seed(base: u64, name: &str, dataset: &str, core: CoreId, mv: u32, iterati
 mod tests {
     use super::*;
     use crate::effect::Effect;
+    use crate::exec::{SerialExecutor, ThreadPoolExecutor};
     use margins_sim::{Corner, Millivolts};
 
     fn tiny_config(bench: &str, core: u8, hi: u32, lo: u32, iters: u32) -> CampaignConfig {
@@ -1212,7 +1092,9 @@ mod tests {
     fn safe_band_sweep_is_all_normal() {
         // namd on the robust core: Vmin ≈ 867, so [890, 880] is safe.
         let cfg = tiny_config("namd", 4, 890, 880, 3);
-        let out = Campaign::new(ChipSpec::new(Corner::Ttt, 0), cfg).execute();
+        let out = Campaign::new(ChipSpec::new(Corner::Ttt, 0), cfg)
+            .run(&SerialExecutor, ExecContext::new())
+            .expect("built-in executors uphold the delivery contract");
         assert_eq!(out.runs.len(), 3 * 3);
         assert!(out.runs.iter().all(|r| r.effects.is_normal()));
         assert_eq!(out.watchdog_power_cycles, 0);
@@ -1221,7 +1103,9 @@ mod tests {
     #[test]
     fn deep_sweep_reaches_crashes_and_recovers() {
         let cfg = tiny_config("bwaves", 0, 890, 840, 2);
-        let out = Campaign::new(ChipSpec::new(Corner::Ttt, 0), cfg).execute();
+        let out = Campaign::new(ChipSpec::new(Corner::Ttt, 0), cfg)
+            .run(&SerialExecutor, ExecContext::new())
+            .expect("built-in executors uphold the delivery contract");
         let any_sc = out.runs.iter().any(|r| r.effects.contains(Effect::Sc));
         assert!(any_sc, "sweeping bwaves to 840mV on core 0 must crash");
         assert!(
@@ -1238,7 +1122,9 @@ mod tests {
     fn abnormal_effects_appear_below_vmin() {
         // bwaves on sensitive core 0: Vmin ≈ 905; sweep through it.
         let cfg = tiny_config("bwaves", 0, 915, 885, 4);
-        let out = Campaign::new(ChipSpec::new(Corner::Ttt, 0), cfg).execute();
+        let out = Campaign::new(ChipSpec::new(Corner::Ttt, 0), cfg)
+            .run(&SerialExecutor, ExecContext::new())
+            .expect("built-in executors uphold the delivery contract");
         let abnormal = out.runs.iter().filter(|r| !r.effects.is_normal()).count();
         assert!(abnormal > 0, "sweeping through Vmin must expose effects");
         // And the top of the sweep is still clean.
@@ -1261,8 +1147,12 @@ mod tests {
             .build()
             .unwrap();
         let campaign = Campaign::new(ChipSpec::new(Corner::Ttt, 0), cfg);
-        let serial = campaign.execute();
-        let parallel = campaign.execute_parallel(4);
+        let serial = campaign
+            .run(&SerialExecutor, ExecContext::new())
+            .expect("built-in executors uphold the delivery contract");
+        let parallel = campaign
+            .run(&ThreadPoolExecutor::clamped(4), ExecContext::new())
+            .expect("built-in executors uphold the delivery contract");
         assert_eq!(serial.runs.len(), parallel.runs.len());
         for (a, b) in serial.runs.iter().zip(&parallel.runs) {
             assert_eq!(a.program, b.program);
@@ -1282,14 +1172,32 @@ mod tests {
     fn cached_rerun_hits_and_preserves_outcome() {
         let cfg = tiny_config("bwaves", 0, 915, 885, 2);
         let campaign = Campaign::new(ChipSpec::new(Corner::Ttt, 0), cfg);
-        let plain = campaign.execute();
+        let plain = campaign
+            .run(&SerialExecutor, ExecContext::new())
+            .expect("built-in executors uphold the delivery contract");
 
         let mut cache = CampaignCache::new();
-        let cold = campaign.execute_with(1, &mut [], Some(&mut cache), None);
+        let cold = campaign
+            .run(
+                &SerialExecutor,
+                ExecContext {
+                    cache: Some(CacheHandle::Owned(&mut cache)),
+                    ..ExecContext::new()
+                },
+            )
+            .expect("built-in executors uphold the delivery contract");
         assert!(!cache.is_empty(), "cold run must populate the cache");
 
         let mut cache_after = cache.clone();
-        let warm = campaign.execute_with(1, &mut [], Some(&mut cache_after), None);
+        let warm = campaign
+            .run(
+                &SerialExecutor,
+                ExecContext {
+                    cache: Some(CacheHandle::Owned(&mut cache_after)),
+                    ..ExecContext::new()
+                },
+            )
+            .expect("built-in executors uphold the delivery contract");
         assert_eq!(
             cache.to_jsonl(),
             cache_after.to_jsonl(),
@@ -1358,9 +1266,19 @@ mod tests {
         let mut jsonl = margins_trace::JsonlSink::new(Vec::new());
         let traced = {
             let mut sinks: [&mut dyn margins_trace::Sink; 2] = [&mut memory, &mut jsonl];
-            campaign.execute_traced(1, &mut sinks)
+            campaign
+                .run(
+                    &SerialExecutor,
+                    ExecContext {
+                        sinks: &mut sinks,
+                        ..ExecContext::new()
+                    },
+                )
+                .expect("built-in executors uphold the delivery contract")
         };
-        let untraced = campaign.execute();
+        let untraced = campaign
+            .run(&SerialExecutor, ExecContext::new())
+            .expect("built-in executors uphold the delivery contract");
 
         // Tracing must not perturb campaign results.
         assert_eq!(traced.runs.len(), untraced.runs.len());
@@ -1416,11 +1334,26 @@ mod tests {
             .unwrap();
         let campaign = Campaign::new(ChipSpec::new(Corner::Ttt, 0), cfg);
 
-        let (serial, serial_metrics) = campaign.execute_metered(1, &mut [], None, None);
-        let (sharded, sharded_metrics) = campaign.execute_metered(4, &mut [], None, None);
+        let metered = |exec: &dyn CampaignExecutor| {
+            let mut metrics = margins_trace::MetricsRegistry::new();
+            let outcome = campaign
+                .run(
+                    exec,
+                    ExecContext {
+                        sinks: &mut [&mut metrics],
+                        ..ExecContext::new()
+                    },
+                )
+                .expect("built-in executors uphold the delivery contract");
+            (outcome, metrics)
+        };
+        let (serial, serial_metrics) = metered(&SerialExecutor);
+        let (sharded, sharded_metrics) = metered(&ThreadPoolExecutor::clamped(4));
 
         // Metering must not perturb campaign results.
-        let plain = campaign.execute();
+        let plain = campaign
+            .run(&SerialExecutor, ExecContext::new())
+            .expect("built-in executors uphold the delivery contract");
         assert_eq!(serial.runs.len(), plain.runs.len());
         assert_eq!(sharded.runs.len(), plain.runs.len());
 
@@ -1440,10 +1373,19 @@ mod tests {
 
         // The registry sees the same stream other sinks do.
         let mut memory = margins_trace::MemorySink::new();
-        let (_, metered) = {
-            let mut sinks: [&mut dyn margins_trace::Sink; 1] = [&mut memory];
-            campaign.execute_metered(1, &mut sinks, None, None)
-        };
+        let mut metered = margins_trace::MetricsRegistry::new();
+        {
+            let mut sinks: [&mut dyn margins_trace::Sink; 2] = [&mut memory, &mut metered];
+            campaign
+                .run(
+                    &SerialExecutor,
+                    ExecContext {
+                        sinks: &mut sinks,
+                        ..ExecContext::new()
+                    },
+                )
+                .expect("built-in executors uphold the delivery contract");
+        }
         let mut replayed = margins_trace::MetricsRegistry::new();
         for record in &memory.records {
             margins_trace::Sink::emit(&mut replayed, record);
@@ -1470,7 +1412,15 @@ mod tests {
             let mut jsonl = margins_trace::JsonlSink::new(Vec::new());
             {
                 let mut sinks: [&mut dyn margins_trace::Sink; 1] = [&mut jsonl];
-                let _ = campaign.execute_traced(threads, &mut sinks);
+                campaign
+                    .run(
+                        &ThreadPoolExecutor::clamped(threads),
+                        ExecContext {
+                            sinks: &mut sinks,
+                            ..ExecContext::new()
+                        },
+                    )
+                    .expect("built-in executors uphold the delivery contract");
             }
             String::from_utf8(jsonl.into_inner().expect("in-memory writer")).expect("utf8")
         };
@@ -1509,7 +1459,15 @@ mod tests {
         let mut memory = margins_trace::MemorySink::new();
         {
             let mut sinks: [&mut dyn margins_trace::Sink; 1] = [&mut memory];
-            let _ = campaign.execute_traced(1, &mut sinks);
+            campaign
+                .run(
+                    &SerialExecutor,
+                    ExecContext {
+                        sinks: &mut sinks,
+                        ..ExecContext::new()
+                    },
+                )
+                .expect("built-in executors uphold the delivery contract");
         }
 
         let mut sampled: std::collections::BTreeMap<String, (u64, u64)> =
@@ -1557,7 +1515,9 @@ mod tests {
         let make = |seed: u64| {
             let cfg = tiny_config("namd", 4, 890, 880, 2);
             let cfg = CampaignConfig { seed, ..cfg };
-            Campaign::new(ChipSpec::new(Corner::Ttt, 0), cfg).execute()
+            Campaign::new(ChipSpec::new(Corner::Ttt, 0), cfg)
+                .run(&SerialExecutor, ExecContext::new())
+                .expect("built-in executors uphold the delivery contract")
         };
         let a = make(1);
         let b = make(2);
@@ -1585,12 +1545,14 @@ mod tests {
             ChipSpec::new(Corner::Ttt, 0),
             tiny_config("namd", 4, 890, 880, 1),
         )
-        .execute();
+        .run(&SerialExecutor, ExecContext::new())
+        .expect("built-in executors uphold the delivery contract");
         let b = Campaign::new(
             ChipSpec::new(Corner::Tff, 1),
             tiny_config("namd", 4, 890, 880, 1),
         )
-        .execute();
+        .run(&SerialExecutor, ExecContext::new())
+        .expect("built-in executors uphold the delivery contract");
         assert_eq!(
             CampaignOutcome::merge([a.clone(), b]).unwrap_err(),
             MergeError::ChipMismatch
@@ -1599,7 +1561,8 @@ mod tests {
             ChipSpec::new(Corner::Ttt, 0),
             tiny_config("namd", 4, 895, 880, 1),
         )
-        .execute();
+        .run(&SerialExecutor, ExecContext::new())
+        .expect("built-in executors uphold the delivery contract");
         assert_eq!(
             CampaignOutcome::merge([a, c]).unwrap_err(),
             MergeError::ConfigMismatch

@@ -187,12 +187,12 @@ mod tests {
     #[test]
     fn paper_weights_match_table4() {
         let w = SeverityWeights::paper();
-        assert_eq!(w.weight(Effect::Sc), 16.0);
-        assert_eq!(w.weight(Effect::Ac), 8.0);
-        assert_eq!(w.weight(Effect::Sdc), 4.0);
-        assert_eq!(w.weight(Effect::Ue), 2.0);
-        assert_eq!(w.weight(Effect::Ce), 1.0);
-        assert_eq!(w.weight(Effect::No), 0.0);
+        assert_eq!(w.weight(Effect::Sc).to_bits(), 16.0_f64.to_bits());
+        assert_eq!(w.weight(Effect::Ac).to_bits(), 8.0_f64.to_bits());
+        assert_eq!(w.weight(Effect::Sdc).to_bits(), 4.0_f64.to_bits());
+        assert_eq!(w.weight(Effect::Ue).to_bits(), 2.0_f64.to_bits());
+        assert_eq!(w.weight(Effect::Ce).to_bits(), 1.0_f64.to_bits());
+        assert_eq!(w.weight(Effect::No).to_bits(), 0.0_f64.to_bits());
     }
 
     #[test]
@@ -206,7 +206,7 @@ mod tests {
     fn all_sc_runs_reach_16() {
         let w = SeverityWeights::paper();
         let runs = vec![set(&[Effect::Sc]); 10];
-        assert_eq!(w.severity(&runs).value(), 16.0);
+        assert_eq!(w.severity(&runs).value().to_bits(), 16.0_f64.to_bits());
     }
 
     #[test]
@@ -225,7 +225,7 @@ mod tests {
         // A run with SDC+CE counts 4+1 = 5 (the §4.4 "severity=5-7" band).
         let w = SeverityWeights::paper();
         let runs = vec![set(&[Effect::Sdc, Effect::Ce]); 10];
-        assert_eq!(w.severity(&runs).value(), 5.0);
+        assert_eq!(w.severity(&runs).value().to_bits(), 5.0_f64.to_bits());
     }
 
     #[test]
@@ -271,6 +271,9 @@ mod tests {
 
     #[test]
     fn max_severity_with_paper_weights() {
-        assert_eq!(SeverityWeights::paper().max_severity(), 31.0);
+        assert_eq!(
+            SeverityWeights::paper().max_severity().to_bits(),
+            31.0_f64.to_bits()
+        );
     }
 }

@@ -7,6 +7,7 @@
 //! serially or sharded over worker threads.
 
 use margins_core::config::CampaignConfig;
+use margins_core::exec::{ExecContext, SerialExecutor, ThreadPoolExecutor};
 use margins_core::runner::{Campaign, CampaignOutcome};
 use margins_core::severity::SeverityWeights;
 use margins_core::{regions, report};
@@ -29,8 +30,12 @@ fn campaign() -> Campaign {
 
 #[test]
 fn repeated_runs_render_byte_identical_csv() {
-    let first = campaign().execute();
-    let second = campaign().execute();
+    let first = campaign()
+        .run(&SerialExecutor, ExecContext::new())
+        .expect("built-in executors uphold the delivery contract");
+    let second = campaign()
+        .run(&SerialExecutor, ExecContext::new())
+        .expect("built-in executors uphold the delivery contract");
     assert_eq!(
         report::runs_csv(&first),
         report::runs_csv(&second),
@@ -48,8 +53,12 @@ fn sharded_execution_renders_the_serial_csv() {
     // quantities (thermal state, and with it the energy_j column) are
     // schedule-independent: the full CSV — outcomes, effects, voltages,
     // runtime AND energy — must match byte for byte.
-    let serial = campaign().execute();
-    let sharded = campaign().execute_parallel(4);
+    let serial = campaign()
+        .run(&SerialExecutor, ExecContext::new())
+        .expect("built-in executors uphold the delivery contract");
+    let sharded = campaign()
+        .run(&ThreadPoolExecutor::clamped(4), ExecContext::new())
+        .expect("built-in executors uphold the delivery contract");
     assert_eq!(
         report::runs_csv(&serial),
         report::runs_csv(&sharded),
@@ -58,7 +67,11 @@ fn sharded_execution_renders_the_serial_csv() {
     // And sharding is itself reproducible: same shard count, same bytes.
     assert_eq!(
         report::runs_csv(&sharded),
-        report::runs_csv(&campaign().execute_parallel(4))
+        report::runs_csv(
+            &campaign()
+                .run(&ThreadPoolExecutor::clamped(4), ExecContext::new())
+                .expect("built-in executors uphold the delivery contract")
+        )
     );
 }
 
@@ -66,7 +79,15 @@ fn traced_jsonl(threads: usize) -> (String, CampaignOutcome) {
     let mut sink = JsonlSink::new(Vec::new());
     let outcome = {
         let mut sinks: [&mut dyn Sink; 1] = [&mut sink];
-        campaign().execute_traced(threads, &mut sinks)
+        campaign()
+            .run(
+                &ThreadPoolExecutor::clamped(threads),
+                ExecContext {
+                    sinks: &mut sinks,
+                    ..ExecContext::new()
+                },
+            )
+            .expect("built-in executors uphold the delivery contract")
     };
     let bytes = sink.into_inner().expect("Vec writer cannot fail");
     (String::from_utf8(bytes).expect("JSONL is UTF-8"), outcome)
@@ -87,7 +108,9 @@ fn traced_serial_and_sharded_streams_are_byte_identical() {
 
     // Tracing leaves the classified outcome untouched (energy aside, which
     // depends on per-board thermal history exactly as in the CSV test).
-    let untraced = campaign().execute();
+    let untraced = campaign()
+        .run(&SerialExecutor, ExecContext::new())
+        .expect("built-in executors uphold the delivery contract");
     assert_eq!(report::runs_csv(&serial_out), report::runs_csv(&untraced));
     assert_eq!(serial_out.goldens, sharded_out.goldens);
     assert_eq!(
@@ -109,7 +132,15 @@ fn metrics_registry_reconciles_with_the_outcome() {
     let mut metrics = MetricsRegistry::new();
     let outcome = {
         let mut sinks: [&mut dyn Sink; 1] = [&mut metrics];
-        campaign().execute_traced(4, &mut sinks)
+        campaign()
+            .run(
+                &ThreadPoolExecutor::clamped(4),
+                ExecContext {
+                    sinks: &mut sinks,
+                    ..ExecContext::new()
+                },
+            )
+            .expect("built-in executors uphold the delivery contract")
     };
 
     assert_eq!(metrics.counter("campaigns"), 1);
@@ -138,30 +169,52 @@ fn metrics_registry_reconciles_with_the_outcome() {
 }
 
 #[test]
-fn legacy_shims_and_the_unified_run_path_agree() {
-    // The `execute*` family is now thin shims over `Campaign::run`; a
-    // direct `run` call under either built-in executor must reproduce the
-    // shims' output byte for byte.
-    use margins_core::exec::{ExecContext, SerialExecutor, ThreadPoolExecutor};
+fn reference_campaign_artifacts_are_pinned() {
+    // The 4-thread traced stream, the metrics exposition riding the same
+    // run, and the run CSV are the campaign's byte-level contract; any
+    // change to the execution path that moves one of them moves a digest.
+    use margins_core::exec::{ExecContext, ThreadPoolExecutor};
 
-    let via_shim = campaign().execute();
-    let serial = campaign()
-        .run(&SerialExecutor, ExecContext::new())
-        .expect("built-in executors uphold the delivery contract");
-    let pooled = campaign()
-        .run(&ThreadPoolExecutor::clamped(3), ExecContext::new())
-        .expect("built-in executors uphold the delivery contract");
-    assert_eq!(report::runs_csv(&via_shim), report::runs_csv(&serial));
-    assert_eq!(report::runs_csv(&via_shim), report::runs_csv(&pooled));
-    assert_eq!(via_shim.goldens, serial.goldens);
-    assert_eq!(via_shim.goldens, pooled.goldens);
+    fn fnv1a(text: &str) -> u64 {
+        text.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    let mut jsonl = JsonlSink::new(Vec::new());
+    let mut metrics = MetricsRegistry::new();
+    let outcome = {
+        let mut sinks: [&mut dyn Sink; 2] = [&mut jsonl, &mut metrics];
+        campaign()
+            .run(
+                &ThreadPoolExecutor::new(4).expect("4 workers is a valid pool"),
+                ExecContext {
+                    sinks: &mut sinks,
+                    ..ExecContext::new()
+                },
+            )
+            .expect("built-in executors uphold the delivery contract")
+    };
+    let trace = String::from_utf8(jsonl.into_inner().expect("Vec writer cannot fail"))
+        .expect("JSONL is UTF-8");
+    let exposition = metrics.to_openmetrics();
+    let csv = report::runs_csv(&outcome);
+    assert_eq!(fnv1a(&trace), 0x0768_89b8_16c2_8c06, "traced JSONL moved");
+    assert_eq!(
+        fnv1a(&exposition),
+        0x893a_1050_e406_40ab,
+        "OpenMetrics exposition moved:\n{exposition}"
+    );
+    assert_eq!(fnv1a(&csv), 0x5d47_1173_3620_16ff, "runs CSV moved:\n{csv}");
 }
 
 #[test]
 fn run_rows_expose_on_grid_millivolts() {
     // The sim → core boundary carries typed Millivolts; every reported
     // voltage sits on the 5 mV regulator grid within the swept band.
-    let out = campaign().execute();
+    let out = campaign()
+        .run(&SerialExecutor, ExecContext::new())
+        .expect("built-in executors uphold the delivery contract");
     for r in &out.runs {
         assert_eq!(r.pmd_mv.get() % 5, 0, "{} is off-grid", r.pmd_mv);
         assert!(r.pmd_mv <= Millivolts::new(915));

@@ -827,7 +827,6 @@ impl FleetService {
                     sinks: &mut sinks,
                     cache: Some(CacheHandle::Shared(&self.cache)),
                     priors: None,
-                    metrics: None,
                     profile_out: Some(&mut tallies),
                 },
             )?

@@ -6,6 +6,7 @@
 //! with the documented class codes.
 
 use margins_core::config::CampaignConfig;
+use margins_core::exec::{ExecContext, ThreadPoolExecutor};
 use margins_core::runner::Campaign;
 use margins_scope::{csv, diff, json, markdown, summarize_records, DivergenceClass};
 use margins_sim::{ChipSpec, CoreId, Corner, Millivolts};
@@ -33,7 +34,15 @@ fn run_traced(seed: u64, threads: usize) -> (Vec<TraceRecord>, String) {
     let mut jsonl = JsonlSink::new(Vec::new());
     {
         let mut sinks: [&mut dyn Sink; 2] = [&mut memory, &mut jsonl];
-        let _ = campaign.execute_traced(threads, &mut sinks);
+        campaign
+            .run(
+                &ThreadPoolExecutor::clamped(threads),
+                ExecContext {
+                    sinks: &mut sinks,
+                    ..ExecContext::new()
+                },
+            )
+            .expect("built-in executors uphold the delivery contract");
     }
     let bytes = jsonl.into_inner().expect("in-memory writer");
     (memory.records, String::from_utf8(bytes).expect("utf8"))

@@ -122,11 +122,12 @@ trace_events! {
             iterations: u32,
             /// Logical work shards: one per (benchmark, core) sweep item.
             /// Which worker thread executes a shard — and, more generally,
-            /// which `CampaignExecutor` ran the campaign (serial, thread
-            /// pool, anything conformant) — is an execution detail
+            /// which `CampaignExecutor` `Campaign::run` was handed (serial,
+            /// thread pool, anything conformant) — is an execution detail
             /// deliberately excluded from the schema, so streams are
-            /// identical across executors and thread counts. Executor
-            /// identity must never be added to any event.
+            /// identical across executors and thread counts. Executors
+            /// carry no name, and executor identity must never be added
+            /// to any event.
             shards: u32,
             /// Campaign seed.
             seed: u64,

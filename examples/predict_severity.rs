@@ -9,6 +9,7 @@
 
 use voltmargin::characterize::config::{BenchmarkRef, CampaignConfig};
 use voltmargin::characterize::dataset::{severity_feature_names, severity_samples, to_matrix};
+use voltmargin::characterize::exec::{ExecContext, ThreadPoolExecutor};
 use voltmargin::characterize::regions::analyze;
 use voltmargin::characterize::runner::{profile, Campaign};
 use voltmargin::characterize::severity::SeverityWeights;
@@ -53,7 +54,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .start_voltage(Millivolts::new(935))
         .floor_voltage(Millivolts::new(845))
         .build()?;
-    let outcome = Campaign::new(chip, config).execute_parallel(4);
+    let outcome =
+        Campaign::new(chip, config).run(&ThreadPoolExecutor::new(4)?, ExecContext::new())?;
     let result = analyze(&outcome, &SeverityWeights::paper());
 
     // Phase 2: profile the performance counters at nominal conditions.

@@ -11,6 +11,7 @@
 
 use voltmargin::characterize::config::CampaignConfig;
 use voltmargin::characterize::effect::Effect;
+use voltmargin::characterize::exec::{ExecContext, ThreadPoolExecutor};
 use voltmargin::characterize::regions::analyze;
 use voltmargin::characterize::runner::Campaign;
 use voltmargin::characterize::severity::SeverityWeights;
@@ -30,7 +31,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .start_voltage(Millivolts::new(935))
         .floor_voltage(Millivolts::new(840))
         .build()?;
-    let outcome = Campaign::new(chip, config).execute_parallel(4);
+    let outcome =
+        Campaign::new(chip, config).run(&ThreadPoolExecutor::new(4)?, ExecContext::new())?;
     let result = analyze(&outcome, &SeverityWeights::paper());
 
     println!("§3.4 self-test study on {chip}, core 4 at 2.4 GHz\n");

@@ -12,6 +12,7 @@
 //! ```
 
 use voltmargin::characterize::config::{CampaignConfig, SweptRail};
+use voltmargin::characterize::exec::{ExecContext, ThreadPoolExecutor};
 use voltmargin::characterize::regions::analyze;
 use voltmargin::characterize::runner::{Campaign, CampaignOutcome};
 use voltmargin::characterize::severity::SeverityWeights;
@@ -27,8 +28,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .iterations(4)
         .start_voltage(Millivolts::new(905))
         .floor_voltage(Millivolts::new(860));
-    let first = Campaign::new(chip, base.clone().seed(101).build()?).execute_parallel(4);
-    let second = Campaign::new(chip, base.seed(202).build()?).execute_parallel(4);
+    let pool = ThreadPoolExecutor::new(4)?;
+    let first =
+        Campaign::new(chip, base.clone().seed(101).build()?).run(&pool, ExecContext::new())?;
+    let second = Campaign::new(chip, base.seed(202).build()?).run(&pool, ExecContext::new())?;
     let merged = CampaignOutcome::merge([first, second])?;
     println!(
         "merged campaign: {} runs, {} iterations per voltage step",
@@ -57,7 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .seed(7)
         .build()?;
     eprintln!("sweeping the PCP/SoC rail with mcf (PMD rail stays at nominal)…");
-    let outcome = Campaign::new(chip, config).execute_parallel(4);
+    let outcome = Campaign::new(chip, config).run(&pool, ExecContext::new())?;
     let result = analyze(&outcome, &SeverityWeights::paper());
     let s = result
         .summary("mcf", "ref", CoreId::new(4))

@@ -8,6 +8,7 @@
 //! ```
 
 use voltmargin::characterize::config::CampaignConfig;
+use voltmargin::characterize::exec::{ExecContext, ThreadPoolExecutor};
 use voltmargin::characterize::regions::analyze;
 use voltmargin::characterize::runner::Campaign;
 use voltmargin::characterize::severity::SeverityWeights;
@@ -39,7 +40,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .floor_voltage(Millivolts::new(845))
         .build()?;
     eprintln!("characterizing {chip} (this takes a few seconds)…");
-    let outcome = Campaign::new(chip, config).execute_parallel(8);
+    let outcome =
+        Campaign::new(chip, config).run(&ThreadPoolExecutor::new(8)?, ExecContext::new())?;
     let result = analyze(&outcome, &SeverityWeights::paper());
     let table = VminTable::from_characterization(&result);
     println!("safe-voltage table: {} entries", table.len());

@@ -537,15 +537,16 @@ fn characterize(opts: &mut Options) -> Result<(), String> {
         if let Some(sink) = jsonl.as_mut() {
             sinks.push(sink);
         }
+        if traced {
+            sinks.push(&mut metrics);
+        }
         campaign
             .run(
                 &*executor,
                 ExecContext {
                     sinks: &mut sinks,
                     cache: cache.as_mut().map(CacheHandle::Owned),
-                    priors: None,
-                    metrics: traced.then_some(&mut metrics),
-                    profile_out: None,
+                    ..ExecContext::new()
                 },
             )
             .map_err(|e| e.to_string())?
@@ -680,7 +681,8 @@ fn govern(opts: &mut Options) -> Result<(), String> {
         .list("tasks")
         .ok_or_else(|| "--tasks is required".to_owned())?;
     let max_loss: f64 = opts.parse_num("max-loss", 0.0)?;
-    let threads = opts.parse_num("threads", 8usize)?;
+    let pool =
+        ThreadPoolExecutor::new(opts.parse_num("threads", 8usize)?).map_err(|e| e.to_string())?;
 
     // Characterize exactly the requested tasks on all cores.
     let config = CampaignConfig::builder()
@@ -693,7 +695,9 @@ fn govern(opts: &mut Options) -> Result<(), String> {
         .build()
         .map_err(|e| e.to_string())?;
     eprintln!("characterizing {spec} for {} tasks…", tasks.len());
-    let outcome = Campaign::new(spec, config).execute_parallel(threads);
+    let outcome = Campaign::new(spec, config)
+        .run(&pool, ExecContext::new())
+        .map_err(|e| e.to_string())?;
     let table = VminTable::from_characterization(&analyze(&outcome, &SeverityWeights::paper()));
 
     let assignments = Scheduler::new()

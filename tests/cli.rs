@@ -391,6 +391,15 @@ fn characterize_rejects_bad_executor_configs() {
     assert!(!out.status.success(), "a zero-thread pool must be rejected");
     let stderr = String::from_utf8(out.stderr).unwrap();
     assert!(stderr.contains("at least one"), "stderr: {stderr}");
+
+    // govern validates its pool the same way, before characterizing.
+    for (threads, message) in [("0", "at least one"), ("1000000", "exceeds the maximum")] {
+        let out = voltmargin(&["govern", "--tasks", "namd", "--threads", threads]);
+        assert_eq!(out.status.code(), Some(2), "govern --threads {threads}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.contains(message), "stderr: {stderr}");
+        assert!(!stderr.contains("characterizing"), "stderr: {stderr}");
+    }
 }
 
 #[test]

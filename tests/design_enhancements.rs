@@ -3,6 +3,7 @@
 
 use voltmargin::characterize::config::{CampaignConfig, SweptRail};
 use voltmargin::characterize::effect::Effect;
+use voltmargin::characterize::exec::{ExecContext, ThreadPoolExecutor};
 use voltmargin::characterize::regions::{analyze, RegionKind};
 use voltmargin::characterize::runner::Campaign;
 use voltmargin::characterize::severity::{Mitigation, SeverityWeights};
@@ -25,7 +26,9 @@ fn detectors_create_a_ce_first_band_like_section_6_predicts() {
             .seed(seed)
             .build()
             .unwrap();
-        let outcome = Campaign::new(ChipSpec::new(Corner::Ttt, 0), cfg).execute_parallel(4);
+        let outcome = Campaign::new(ChipSpec::new(Corner::Ttt, 0), cfg)
+            .run(&ThreadPoolExecutor::clamped(4), ExecContext::new())
+            .expect("built-in executors uphold the delivery contract");
         analyze(&outcome, &SeverityWeights::paper())
     };
     let first_effects = |r: &voltmargin::characterize::CharacterizationResult| {
@@ -93,7 +96,9 @@ fn soc_rail_has_a_wide_ecc_proxy_band() {
         .seed(0x50C)
         .build()
         .unwrap();
-    let outcome = Campaign::new(ChipSpec::new(Corner::Ttt, 0), cfg).execute_parallel(2);
+    let outcome = Campaign::new(ChipSpec::new(Corner::Ttt, 0), cfg)
+        .run(&ThreadPoolExecutor::clamped(2), ExecContext::new())
+        .expect("built-in executors uphold the delivery contract");
     let result = analyze(&outcome, &SeverityWeights::paper());
     let s = &result.summaries[0];
 
@@ -141,7 +146,9 @@ fn extended_ecc_reduces_uncorrected_errors_on_the_cache_selftest() {
             .seed(0xECC)
             .build()
             .unwrap();
-        let outcome = Campaign::new(ChipSpec::new(Corner::Ttt, 0), cfg).execute_parallel(2);
+        let outcome = Campaign::new(ChipSpec::new(Corner::Ttt, 0), cfg)
+            .run(&ThreadPoolExecutor::clamped(2), ExecContext::new())
+            .expect("built-in executors uphold the delivery contract");
         analyze(&outcome, &SeverityWeights::paper())
     };
     let stock = characterize(Enhancements::stock());

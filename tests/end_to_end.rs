@@ -3,6 +3,7 @@
 
 use voltmargin::characterize::config::CampaignConfig;
 use voltmargin::characterize::effect::Effect;
+use voltmargin::characterize::exec::{ExecContext, SerialExecutor, ThreadPoolExecutor};
 use voltmargin::characterize::regions::{analyze, RegionKind};
 use voltmargin::characterize::report;
 use voltmargin::characterize::runner::Campaign;
@@ -25,7 +26,9 @@ fn characterize(
         .seed(0xE2E)
         .build()
         .expect("valid config");
-    let outcome = Campaign::new(ChipSpec::new(Corner::Ttt, 0), config).execute_parallel(4);
+    let outcome = Campaign::new(ChipSpec::new(Corner::Ttt, 0), config)
+        .run(&ThreadPoolExecutor::clamped(4), ExecContext::new())
+        .expect("built-in executors uphold the delivery contract");
     analyze(&outcome, &SeverityWeights::paper())
 }
 
@@ -136,7 +139,9 @@ fn csv_reports_round_trip_the_run_count() {
         .seed(1)
         .build()
         .unwrap();
-    let outcome = Campaign::new(ChipSpec::new(Corner::Ttt, 0), config).execute();
+    let outcome = Campaign::new(ChipSpec::new(Corner::Ttt, 0), config)
+        .run(&SerialExecutor, ExecContext::new())
+        .expect("built-in executors uphold the delivery contract");
     let csv = report::runs_csv(&outcome);
     assert_eq!(csv.lines().count() - 1, outcome.runs.len());
     let result = analyze(&outcome, &SeverityWeights::paper());

@@ -43,7 +43,7 @@ fn observe(exec: &dyn CampaignExecutor) -> (String, String, PhaseTallies, String
     let mut metrics = MetricsRegistry::new();
     let mut tallies = PhaseTallies::new();
     let outcome = {
-        let mut sinks: [&mut dyn Sink; 1] = [&mut jsonl];
+        let mut sinks: [&mut dyn Sink; 2] = [&mut jsonl, &mut metrics];
         campaign()
             .run(
                 exec,
@@ -51,7 +51,6 @@ fn observe(exec: &dyn CampaignExecutor) -> (String, String, PhaseTallies, String
                     sinks: &mut sinks,
                     cache: None,
                     priors: None,
-                    metrics: Some(&mut metrics),
                     profile_out: Some(&mut tallies),
                 },
             )
@@ -110,8 +109,8 @@ fn pool_thread_counts_are_validated_not_panicked_on() {
     assert!(matches!(absurd, Err(ExecError::TooManyThreads { .. })));
     let msg = ThreadPoolExecutor::new(0).unwrap_err().to_string();
     assert!(msg.contains("at least one"), "actionable message: {msg}");
-    // The clamping constructor keeps the historical `execute_parallel`
-    // semantics for callers that want best-effort widths.
+    // The clamping constructor rounds into range for callers whose width
+    // is a tuning knob rather than user input.
     assert_eq!(ThreadPoolExecutor::clamped(0).threads(), 1);
 }
 
@@ -120,10 +119,6 @@ fn pool_thread_counts_are_validated_not_panicked_on() {
 struct ReversedExecutor;
 
 impl CampaignExecutor for ReversedExecutor {
-    fn label(&self) -> &'static str {
-        "reversed"
-    }
-
     fn run_items(
         &self,
         task: &ItemTask<'_>,
@@ -140,10 +135,6 @@ impl CampaignExecutor for ReversedExecutor {
 struct SilentExecutor;
 
 impl CampaignExecutor for SilentExecutor {
-    fn label(&self) -> &'static str {
-        "silent"
-    }
-
     fn run_items(
         &self,
         _task: &ItemTask<'_>,
@@ -269,7 +260,9 @@ fn fully_warm_shared_cache_executes_zero_machine_probes() {
     );
 
     // Replay is exact: outcome and analysis match a cold execution.
-    let cold = campaign().execute();
+    let cold = campaign()
+        .run(&SerialExecutor, ExecContext::new())
+        .expect("built-in executors uphold the delivery contract");
     assert_eq!(report::runs_csv(&cold), report::runs_csv(&warm));
     let weights = SeverityWeights::paper();
     assert_eq!(

@@ -69,7 +69,6 @@ fn serial_baseline(fleet: &FleetSpec, cache: &SharedCampaignCache) -> Baseline {
                         sinks: &mut sinks,
                         cache: Some(CacheHandle::Shared(cache)),
                         priors: None,
-                        metrics: None,
                         profile_out: Some(&mut chip_tallies),
                     },
                 )

@@ -3,6 +3,7 @@
 
 use voltmargin::characterize::config::{BenchmarkRef, CampaignConfig};
 use voltmargin::characterize::dataset::{severity_samples, to_matrix, vmin_samples};
+use voltmargin::characterize::exec::{ExecContext, ThreadPoolExecutor};
 use voltmargin::characterize::regions::analyze;
 use voltmargin::characterize::runner::{profile, Campaign};
 use voltmargin::characterize::severity::SeverityWeights;
@@ -49,7 +50,9 @@ fn pipeline(core: CoreId) -> (Features, Targets, Features, Targets) {
         .seed(0x1407)
         .build()
         .unwrap();
-    let outcome = Campaign::new(chip, config).execute_parallel(4);
+    let outcome = Campaign::new(chip, config)
+        .run(&ThreadPoolExecutor::clamped(4), ExecContext::new())
+        .expect("built-in executors uphold the delivery contract");
     let result = analyze(&outcome, &SeverityWeights::paper());
     let profiles = profile(chip, &benches, core).expect("suite benchmark names");
     let sev = severity_samples(&result, &profiles, core);
@@ -121,7 +124,9 @@ fn online_predictor_tracks_measured_vmin_ordering() {
         .seed(0x1407)
         .build()
         .unwrap();
-    let outcome = Campaign::new(chip, config).execute_parallel(4);
+    let outcome = Campaign::new(chip, config)
+        .run(&ThreadPoolExecutor::clamped(4), ExecContext::new())
+        .expect("built-in executors uphold the delivery contract");
     let result = analyze(&outcome, &SeverityWeights::paper());
     let profiles = profile(chip, &benches, core).expect("suite benchmark names");
     let samples = severity_samples(&result, &profiles, core);

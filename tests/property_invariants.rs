@@ -9,6 +9,7 @@ use voltmargin::characterize::cache::{
 };
 use voltmargin::characterize::config::CampaignConfig;
 use voltmargin::characterize::effect::{Effect, EffectSet};
+use voltmargin::characterize::exec::{CacheHandle, ExecContext, SerialExecutor};
 use voltmargin::characterize::regions::RegionKind;
 use voltmargin::characterize::runner::Campaign;
 use voltmargin::characterize::search::SearchStrategy;
@@ -288,16 +289,29 @@ fn check_cache_preserves_outcome(seed: u64) {
             .expect("valid configuration")
     };
     for strategy in [SearchStrategy::Exhaustive, SearchStrategy::Bisection] {
-        let plain = Campaign::new(ChipSpec::new(Corner::Ttt, 0), config(strategy)).execute_with(
-            1,
-            &mut [],
-            None,
-            None,
-        );
-        let mut cache = CampaignCache::new();
         let campaign = Campaign::new(ChipSpec::new(Corner::Ttt, 0), config(strategy));
-        let cold = campaign.execute_with(1, &mut [], Some(&mut cache), None);
-        let warm = campaign.execute_with(1, &mut [], Some(&mut cache), None);
+        let plain = campaign
+            .run(&SerialExecutor, ExecContext::new())
+            .expect("built-in executors uphold the delivery contract");
+        let mut cache = CampaignCache::new();
+        let cold = campaign
+            .run(
+                &SerialExecutor,
+                ExecContext {
+                    cache: Some(CacheHandle::Owned(&mut cache)),
+                    ..ExecContext::new()
+                },
+            )
+            .expect("built-in executors uphold the delivery contract");
+        let warm = campaign
+            .run(
+                &SerialExecutor,
+                ExecContext {
+                    cache: Some(CacheHandle::Owned(&mut cache)),
+                    ..ExecContext::new()
+                },
+            )
+            .expect("built-in executors uphold the delivery contract");
         assert_eq!(
             plain.runs, cold.runs,
             "{strategy}: cold cache changed the runs"

@@ -1,6 +1,7 @@
 //! Integration checks of §3.2 (divided clock regime) and §3.4 (self-tests).
 
 use voltmargin::characterize::config::CampaignConfig;
+use voltmargin::characterize::exec::{ExecContext, SerialExecutor, ThreadPoolExecutor};
 use voltmargin::characterize::regions::{analyze, RegionKind};
 use voltmargin::characterize::runner::Campaign;
 use voltmargin::characterize::severity::SeverityWeights;
@@ -18,7 +19,9 @@ fn divided_regime_is_uniform_760_and_crash_only() {
         .seed(0x0D10)
         .build()
         .unwrap();
-    let outcome = Campaign::new(ChipSpec::new(Corner::Ttt, 0), config).execute_parallel(4);
+    let outcome = Campaign::new(ChipSpec::new(Corner::Ttt, 0), config)
+        .run(&ThreadPoolExecutor::clamped(4), ExecContext::new())
+        .expect("built-in executors uphold the delivery contract");
     let result = analyze(&outcome, &SeverityWeights::paper());
     assert_eq!(result.summaries.len(), 4);
     for s in &result.summaries {
@@ -59,7 +62,9 @@ fn intermediate_frequencies_behave_like_their_regime() {
         .seed(0x0180)
         .build()
         .unwrap();
-    let outcome = Campaign::new(ChipSpec::new(Corner::Ttt, 0), config).execute();
+    let outcome = Campaign::new(ChipSpec::new(Corner::Ttt, 0), config)
+        .run(&SerialExecutor, ExecContext::new())
+        .expect("built-in executors uphold the delivery contract");
     let result = analyze(&outcome, &SeverityWeights::paper());
     let vmin = result.summaries[0].safe_vmin.expect("vmin measurable");
     assert!(
@@ -83,7 +88,9 @@ fn fpu_selftest_fails_well_above_the_cache_selftest() {
             .seed(seed)
             .build()
             .unwrap();
-        let outcome = Campaign::new(ChipSpec::new(Corner::Ttt, 0), config).execute_parallel(2);
+        let outcome = Campaign::new(ChipSpec::new(Corner::Ttt, 0), config)
+            .run(&ThreadPoolExecutor::clamped(2), ExecContext::new())
+            .expect("built-in executors uphold the delivery contract");
         let result = analyze(&outcome, &SeverityWeights::paper());
         let vmin = |test: &str| {
             result

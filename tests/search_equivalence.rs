@@ -16,6 +16,7 @@
 
 use voltmargin::characterize::cache::CampaignCache;
 use voltmargin::characterize::config::CampaignConfig;
+use voltmargin::characterize::exec::{CacheHandle, ExecContext, ThreadPoolExecutor};
 use voltmargin::characterize::regions::{analyze, RegionKind, SweepSummary};
 use voltmargin::characterize::runner::{Campaign, CampaignOutcome};
 use voltmargin::characterize::search::{ItemPrior, SearchPriors, SearchStrategy};
@@ -56,7 +57,16 @@ fn run_fixture(
     let campaign = Campaign::new(spec, config);
     let mut metrics = MetricsRegistry::new();
     let mut sinks: Vec<&mut dyn Sink> = vec![&mut metrics];
-    let outcome = campaign.execute_with(2, &mut sinks, None, priors);
+    let outcome = campaign
+        .run(
+            &ThreadPoolExecutor::clamped(2),
+            ExecContext {
+                sinks: &mut sinks,
+                priors,
+                ..ExecContext::new()
+            },
+        )
+        .expect("built-in executors uphold the delivery contract");
     (outcome, metrics.counter("voltage_steps"))
 }
 
@@ -176,7 +186,15 @@ fn serial_and_sharded_adaptive_campaigns_are_identical() {
         let campaign = Campaign::new(ChipSpec::new(Corner::Ttt, 0), config);
         let mut memory = MemorySink::new();
         let mut sinks: Vec<&mut dyn Sink> = vec![&mut memory];
-        let outcome = campaign.execute_with(threads, &mut sinks, None, None);
+        let outcome = campaign
+            .run(
+                &ThreadPoolExecutor::clamped(threads),
+                ExecContext {
+                    sinks: &mut sinks,
+                    ..ExecContext::new()
+                },
+            )
+            .expect("built-in executors uphold the delivery contract");
         (outcome, memory.records)
     };
     let (serial, serial_records) = run(1);
@@ -221,7 +239,16 @@ fn adaptive_search_visits_at_most_40_percent_of_the_reference_grid() {
         let campaign = Campaign::new(ChipSpec::new(Corner::Ttt, 0), reference_config(strategy));
         let mut metrics = MetricsRegistry::new();
         let mut sinks: Vec<&mut dyn Sink> = vec![&mut metrics];
-        let outcome = campaign.execute_with(8, &mut sinks, None, priors);
+        let outcome = campaign
+            .run(
+                &ThreadPoolExecutor::clamped(8),
+                ExecContext {
+                    sinks: &mut sinks,
+                    priors,
+                    ..ExecContext::new()
+                },
+            )
+            .expect("built-in executors uphold the delivery contract");
         (outcome, metrics.counter("voltage_steps"))
     };
 
@@ -273,7 +300,16 @@ fn cached_rerun_reports_full_hits_and_identical_outcome() {
         let campaign = Campaign::new(ChipSpec::new(Corner::Ttt, 0), config());
         let mut metrics = MetricsRegistry::new();
         let mut sinks: Vec<&mut dyn Sink> = vec![&mut metrics];
-        let outcome = campaign.execute_with(2, &mut sinks, Some(cache), None);
+        let outcome = campaign
+            .run(
+                &ThreadPoolExecutor::clamped(2),
+                ExecContext {
+                    sinks: &mut sinks,
+                    cache: Some(CacheHandle::Owned(cache)),
+                    ..ExecContext::new()
+                },
+            )
+            .expect("built-in executors uphold the delivery contract");
         (outcome, metrics)
     };
 

@@ -2,6 +2,7 @@
 //! the measured Figure 9 behaviour, end to end.
 
 use voltmargin::characterize::config::CampaignConfig;
+use voltmargin::characterize::exec::{ExecContext, ThreadPoolExecutor};
 use voltmargin::characterize::regions::analyze;
 use voltmargin::characterize::runner::Campaign;
 use voltmargin::characterize::severity::SeverityWeights;
@@ -29,7 +30,9 @@ fn build_table() -> VminTable {
         .seed(0x90_0D)
         .build()
         .unwrap();
-    let outcome = Campaign::new(ChipSpec::new(Corner::Ttt, 0), config).execute_parallel(8);
+    let outcome = Campaign::new(ChipSpec::new(Corner::Ttt, 0), config)
+        .run(&ThreadPoolExecutor::clamped(8), ExecContext::new())
+        .expect("built-in executors uphold the delivery contract");
     VminTable::from_characterization(&analyze(&outcome, &SeverityWeights::paper()))
 }
 
