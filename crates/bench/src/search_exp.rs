@@ -223,8 +223,8 @@ pub fn report(runs: &[StrategyRun]) -> String {
     }
     let _ = writeln!(
         out,
-        "{:<12}{:>15}{:>12}{:>12}  {}",
-        "strategy", "machine steps", "grid steps", "% of grid", "boundaries"
+        "{:<12}{:>15}{:>12}{:>12}  boundaries",
+        "strategy", "machine steps", "grid steps", "% of grid"
     );
     for r in runs {
         let pct = 100.0 * r.machine_steps as f64 / r.grid_steps.max(1) as f64;

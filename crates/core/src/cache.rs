@@ -24,6 +24,8 @@ use margins_sim::{CoreId, Enhancements};
 use margins_trace::json;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::fs::File;
+use std::io::Write;
 use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -430,24 +432,18 @@ impl CampaignCache {
         match std::fs::read_to_string(path) {
             Ok(text) => CampaignCache::from_jsonl(&text),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(CampaignCache::new()),
-            Err(e) => Err(CacheError::Io {
-                path: path.display().to_string(),
-                message: e.to_string(),
-            }),
+            Err(e) => Err(io_error(path, &e)),
         }
     }
 
-    /// Persists the cache, overwriting `path`.
+    /// Persists the cache, replacing `path` atomically: a crash mid-save
+    /// leaves the previous file intact, never a torn one.
     ///
     /// # Errors
     ///
     /// [`CacheError::Io`] when the file cannot be written.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), CacheError> {
-        let path = path.as_ref();
-        std::fs::write(path, self.to_jsonl()).map_err(|e| CacheError::Io {
-            path: path.display().to_string(),
-            message: e.to_string(),
-        })
+        write_atomic(path.as_ref(), &self.to_jsonl())
     }
 
     /// Compacts a cache file in place: parses it (later duplicates of a
@@ -466,10 +462,7 @@ impl CampaignCache {
     /// parse.
     pub fn compact_file(path: impl AsRef<Path>) -> Result<CompactionStats, CacheError> {
         let path = path.as_ref();
-        let text = std::fs::read_to_string(path).map_err(|e| CacheError::Io {
-            path: path.display().to_string(),
-            message: e.to_string(),
-        })?;
+        let text = std::fs::read_to_string(path).map_err(|e| io_error(path, &e))?;
         let cache = CampaignCache::from_jsonl(&text)?;
         let compacted = cache.to_jsonl();
         let stats = CompactionStats {
@@ -478,10 +471,7 @@ impl CampaignCache {
             rewritten: compacted != text,
         };
         if stats.rewritten {
-            std::fs::write(path, compacted).map_err(|e| CacheError::Io {
-                path: path.display().to_string(),
-                message: e.to_string(),
-            })?;
+            write_atomic(path, &compacted)?;
         }
         Ok(stats)
     }
@@ -506,27 +496,13 @@ impl CompactionStats {
     }
 }
 
-/// Fresh results appended to a [`SharedCampaignCache`] since its last
-/// publish, in append order.
-#[derive(Debug, Default)]
-struct CacheLog {
-    goldens: Vec<(GoldenKey, GoldenEntry)>,
-    steps: Vec<(StepKey, StepEntry)>,
-}
-
-impl CacheLog {
-    fn is_empty(&self) -> bool {
-        self.goldens.is_empty() && self.steps.is_empty()
-    }
-}
-
 /// A concurrently shareable [`CampaignCache`]: several campaigns may look
 /// up and contribute results against one store at the same time.
 ///
 /// # Concurrency model
 ///
-/// The store is a published immutable snapshot (`Arc<CampaignCache>`)
-/// plus an append log of fresh results:
+/// The store is one published immutable snapshot (`Arc<CampaignCache>`),
+/// and every campaign publishes into it once:
 ///
 /// * **Reads never block on writes.** [`SharedCampaignCache::snapshot`]
 ///   clones the `Arc` — campaigns then probe their snapshot lock-free for
@@ -534,23 +510,23 @@ impl CacheLog {
 ///   its results are independent of what sibling campaigns publish
 ///   mid-run (the same schedule-independence the single-campaign path
 ///   guarantees).
-/// * **Writes append.** [`SharedCampaignCache::append_golden`] /
-///   [`SharedCampaignCache::append_step`] push onto the log;
-///   [`SharedCampaignCache::publish`] folds the log into a new snapshot.
-///   Appends from concurrent campaigns interleave arbitrarily, but the
-///   fold lands in [`BTreeMap`]s — identical coordinates produce
-///   identical entries (probes are pure functions of their keys), so the
-///   published cache, and therefore the saved JSONL, is byte-deterministic
-///   regardless of completion order.
+/// * **One publish per campaign.** [`SharedCampaignCache::publish`]
+///   inserts a campaign's fresh results under the lock through
+///   [`Arc::make_mut`]: in place when no snapshot is alive (a lone
+///   campaign), into a copy while a sibling still holds one (whose view
+///   stays fixed). Publishes from concurrent campaigns land in any order,
+///   but into [`BTreeMap`]s — identical coordinates produce identical
+///   entries (probes are pure functions of their keys), so the store, and
+///   therefore the saved JSONL, is byte-deterministic regardless of
+///   completion order.
 ///
 /// Serialization ([`SharedCampaignCache::to_jsonl`] /
-/// [`SharedCampaignCache::save`]) publishes pending appends first and then
-/// emits the snapshot's canonical JSONL — byte-identical to what a plain
-/// [`CampaignCache`] holding the same records writes.
+/// [`SharedCampaignCache::save`]) emits the store's canonical JSONL —
+/// byte-identical to what a plain [`CampaignCache`] holding the same
+/// records writes.
 #[derive(Debug, Default)]
 pub struct SharedCampaignCache {
     snapshot: Mutex<Arc<CampaignCache>>,
-    log: Mutex<CacheLog>,
 }
 
 impl SharedCampaignCache {
@@ -573,85 +549,62 @@ impl SharedCampaignCache {
 
     /// The current published snapshot. A cheap `Arc` clone: the lock is
     /// held only for the clone, never while a reader probes the cache,
-    /// so lookups never block on concurrent appends or publishes.
+    /// so lookups never block on concurrent publishes.
     #[must_use]
     pub fn snapshot(&self) -> Arc<CampaignCache> {
         lock(&self.snapshot).clone()
     }
 
-    /// Appends a fresh golden capture to the log (visible to snapshots
-    /// after the next [`SharedCampaignCache::publish`]).
-    pub fn append_golden(&self, key: GoldenKey, entry: GoldenEntry) {
-        lock(&self.log).goldens.push((key, entry));
-    }
-
-    /// Appends a fresh step probe to the log (visible to snapshots after
-    /// the next [`SharedCampaignCache::publish`]).
-    pub fn append_step(&self, key: StepKey, entry: StepEntry) {
-        lock(&self.log).steps.push((key, entry));
-    }
-
-    /// Folds every logged append into a new published snapshot. A no-op
-    /// when the log is empty. Readers holding older snapshots are
-    /// unaffected; new [`SharedCampaignCache::snapshot`] calls see the
-    /// fold.
-    pub fn publish(&self) {
-        // Lock order everywhere in this type: log, then snapshot.
-        let mut log = lock(&self.log);
-        if log.is_empty() {
+    /// Inserts a campaign's fresh golden captures and step probes. Readers
+    /// holding older snapshots are unaffected; new
+    /// [`SharedCampaignCache::snapshot`] calls see the records. The store
+    /// is updated in place unless a snapshot is alive, in which case the
+    /// records land in a copy. Publishing nothing is a no-op.
+    pub fn publish(
+        &self,
+        goldens: Vec<(GoldenKey, GoldenEntry)>,
+        steps: Vec<(StepKey, StepEntry)>,
+    ) {
+        if goldens.is_empty() && steps.is_empty() {
             return;
         }
         let mut snapshot = lock(&self.snapshot);
-        let mut next = CampaignCache::clone(&snapshot);
-        for (key, entry) in log.goldens.drain(..) {
-            next.insert_golden(key, entry);
+        let cache = Arc::make_mut(&mut snapshot);
+        for (key, entry) in goldens {
+            cache.insert_golden(key, entry);
         }
-        for (key, entry) in log.steps.drain(..) {
-            next.insert_step(key, entry);
+        for (key, entry) in steps {
+            cache.insert_step(key, entry);
         }
-        *snapshot = Arc::new(next);
     }
 
-    /// Total records in the published view (pending appends are published
-    /// first).
+    /// Total records in the store.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.publish();
         lock(&self.snapshot).len()
     }
 
-    /// Whether the published view holds no records (pending appends are
-    /// published first).
+    /// Whether the store holds no records.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Publishes pending appends and serializes the store as canonical
-    /// JSONL — byte-identical to [`CampaignCache::to_jsonl`] on the same
-    /// records.
+    /// Serializes the store as canonical JSONL — byte-identical to
+    /// [`CampaignCache::to_jsonl`] on the same records.
     #[must_use]
     pub fn to_jsonl(&self) -> String {
-        self.publish();
         lock(&self.snapshot).to_jsonl()
     }
 
-    /// Publishes pending appends and persists the store, overwriting
-    /// `path`.
+    /// Persists the store, replacing `path` atomically
+    /// ([`CampaignCache::save`]).
     ///
     /// # Errors
     ///
     /// [`CacheError::Io`] when the file cannot be written.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), CacheError> {
-        self.publish();
         lock(&self.snapshot).save(path)
-    }
-
-    /// Publishes pending appends and extracts a plain owned cache.
-    #[must_use]
-    pub fn into_cache(self) -> CampaignCache {
-        self.publish();
-        CampaignCache::clone(&lock(&self.snapshot))
     }
 }
 
@@ -659,8 +612,36 @@ impl From<CampaignCache> for SharedCampaignCache {
     fn from(cache: CampaignCache) -> SharedCampaignCache {
         SharedCampaignCache {
             snapshot: Mutex::new(Arc::new(cache)),
-            log: Mutex::new(CacheLog::default()),
         }
+    }
+}
+
+/// Replaces `path` with `contents` atomically: writes `<path>.tmp` in the
+/// same directory, syncs it to disk and renames it over `path`, so a crash
+/// leaves either the old file or the new one. A failed write removes its
+/// partial temporary file.
+fn write_atomic(path: &Path, contents: &str) -> Result<(), CacheError> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = Path::new(&tmp);
+    let result = File::create(tmp)
+        .and_then(|mut file| {
+            file.write_all(contents.as_bytes())?;
+            file.sync_all()
+        })
+        .map_err(|e| io_error(tmp, &e))
+        .and_then(|()| std::fs::rename(tmp, path).map_err(|e| io_error(path, &e)));
+    if result.is_err() {
+        std::fs::remove_file(tmp).ok();
+    }
+    result
+}
+
+/// The typed error for an I/O failure on `path`.
+fn io_error(path: &Path, e: &std::io::Error) -> CacheError {
+    CacheError::Io {
+        path: path.display().to_string(),
+        message: e.to_string(),
     }
 }
 
@@ -1012,82 +993,135 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    fn sample_golden() -> (GoldenKey, GoldenEntry) {
+        let cache = sample();
+        let (key, entry) = cache.goldens.iter().next().expect("one golden");
+        (key.clone(), entry.clone())
+    }
+
     #[test]
-    fn shared_cache_snapshots_are_fixed_while_appends_publish() {
+    fn save_is_atomic_and_a_failed_save_keeps_the_old_bytes() {
+        let dir = std::env::temp_dir().join("margins-cache-atomic-test");
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join("cache.jsonl");
+        let tmp = dir.join("cache.jsonl.tmp");
+        std::fs::remove_dir(&tmp).ok();
+        sample().save(&path).expect("save");
+        assert!(!tmp.exists(), "the temporary file is renamed away");
+        let before = std::fs::read(&path).expect("read");
+
+        // A temporary path that cannot be created fails the save before
+        // the target is touched.
+        std::fs::create_dir(&tmp).expect("block the temporary path");
+        let mut grown = sample();
+        grown.insert_step(step_key(870), entry(&[EffectSet::new()]));
+        let err = grown.save(&path).expect_err("tmp is a directory");
+        assert!(matches!(err, CacheError::Io { .. }), "{err}");
+        assert_eq!(std::fs::read(&path).expect("read"), before);
+        std::fs::remove_dir(&tmp).ok();
+        std::fs::remove_file(&path).ok();
+
+        // A target that cannot be replaced fails at the rename and leaves
+        // no temporary file behind.
+        let err = sample().save(&dir).expect_err("target is a directory");
+        assert!(matches!(err, CacheError::Io { .. }), "{err}");
+        assert!(!dir.with_extension("tmp").exists());
+    }
+
+    #[test]
+    fn shared_cache_snapshots_are_fixed_across_publishes() {
         let shared = SharedCampaignCache::from(sample());
         let before = shared.snapshot();
         assert_eq!(before.len(), 3);
 
-        // Appends are invisible until published…
         let mut key = step_key(870);
         key.core = 1;
-        shared.append_step(key.clone(), entry(&[EffectSet::new()]));
-        assert!(shared.snapshot().step(&key).is_none());
-
-        // …and invisible to snapshots taken before the publish even after.
-        shared.publish();
+        shared.publish(Vec::new(), vec![(key.clone(), entry(&[EffectSet::new()]))]);
+        // A snapshot taken before the publish never sees the new key…
         assert!(before.step(&key).is_none());
+        assert_eq!(before.len(), 3);
+        // …and every later one does.
         assert!(shared.snapshot().step(&key).is_some());
         assert_eq!(shared.len(), 4);
     }
 
     #[test]
+    fn publish_mutates_in_place_unless_a_snapshot_is_held() {
+        let shared = SharedCampaignCache::from(sample());
+        let lone = Arc::as_ptr(&shared.snapshot());
+        shared.publish(
+            Vec::new(),
+            vec![(step_key(870), entry(&[EffectSet::new()]))],
+        );
+        assert_eq!(
+            Arc::as_ptr(&shared.snapshot()),
+            lone,
+            "no live snapshot: no copy"
+        );
+
+        let held = shared.snapshot();
+        shared.publish(
+            Vec::new(),
+            vec![(step_key(860), entry(&[EffectSet::new()]))],
+        );
+        assert_ne!(Arc::as_ptr(&shared.snapshot()), Arc::as_ptr(&held));
+        assert!(
+            held.step(&step_key(860)).is_none(),
+            "the held view is unchanged"
+        );
+        assert_eq!(held.len(), 4);
+        assert_eq!(shared.len(), 5);
+    }
+
+    #[test]
     fn shared_cache_serializes_like_the_equivalent_owned_cache() {
-        // Two "campaigns" append the same records in different orders;
-        // the published store serializes identically either way, and
-        // identically to a plain cache holding the same records.
+        // Two stores receive the same records in different orders; each
+        // serializes identically to a plain cache holding the records.
         let mut owned = sample();
         let mut extra = step_key(865);
         extra.program = "namd".into();
         owned.insert_step(extra.clone(), entry(&[EffectSet::new()]));
 
         let ab = SharedCampaignCache::from(sample());
-        ab.append_step(extra.clone(), entry(&[EffectSet::new()]));
-        let ba = SharedCampaignCache::new();
-        ba.append_step(extra, entry(&[EffectSet::new()]));
-        for (k, e) in sample().steps() {
-            ba.append_step(k.clone(), e.clone());
-        }
-        ba.append_golden(
-            GoldenKey {
-                chip: "TTT#0".into(),
-                target_mhz: 2400,
-                parked_mhz: 300,
-                enhancements: 0,
-                seed: 0xC0FF_EE00,
-                program: "bwaves".into(),
-                dataset: "ref".into(),
-                core: 0,
-            },
-            GoldenEntry {
-                digest: 0xDEAD_BEEF_0123_4567,
-                runtime_s: 0.5,
-            },
+        ab.publish(
+            Vec::new(),
+            vec![(extra.clone(), entry(&[EffectSet::new()]))],
         );
+        let ba = SharedCampaignCache::new();
+        ba.publish(Vec::new(), vec![(extra, entry(&[EffectSet::new()]))]);
+        let mut steps: Vec<_> = sample()
+            .steps()
+            .map(|(k, e)| (k.clone(), e.clone()))
+            .collect();
+        steps.reverse();
+        ba.publish(vec![sample_golden()], steps);
 
         assert_eq!(ab.to_jsonl(), owned.to_jsonl());
         assert_eq!(ba.to_jsonl(), owned.to_jsonl());
-        assert_eq!(ab.into_cache(), owned);
+        assert_eq!(*ab.snapshot(), owned);
     }
 
     #[test]
-    fn shared_cache_handles_concurrent_appenders() {
+    fn shared_cache_handles_concurrent_publishers() {
         let shared = SharedCampaignCache::new();
         std::thread::scope(|scope| {
             for core in 0..4u8 {
                 let shared = &shared;
                 scope.spawn(move || {
-                    for mv in [900, 890, 880] {
-                        let mut key = step_key(mv);
-                        key.core = core;
-                        shared.append_step(key, entry(&[EffectSet::new()]));
-                    }
-                    shared.publish();
+                    let steps = [900, 890, 880]
+                        .into_iter()
+                        .map(|mv| {
+                            let mut key = step_key(mv);
+                            key.core = core;
+                            (key, entry(&[EffectSet::new()]))
+                        })
+                        .collect();
+                    shared.publish(Vec::new(), steps);
                 });
             }
         });
         assert_eq!(shared.len(), 12);
-        // Key-ordered serialization makes the result append-order-free.
+        // Key-ordered serialization makes the result publish-order-free.
         let mut owned = CampaignCache::new();
         for core in 0..4u8 {
             for mv in [880, 890, 900] {

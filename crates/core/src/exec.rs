@@ -344,24 +344,6 @@ impl CampaignExecutor for ThreadPoolExecutor {
     }
 }
 
-/// A campaign result cache, as handed to [`Campaign::run`]: either an
-/// exclusively borrowed [`CampaignCache`] (the single-campaign path) or a
-/// [`SharedCampaignCache`] several concurrent campaigns append to.
-///
-/// Either way the campaign reads one immutable view of the cache for its
-/// whole run — fresh results land after the last lookup (owned) or in the
-/// shared append log (shared) — so lookups are schedule-independent and
-/// results never depend on what a sibling campaign is doing concurrently.
-#[derive(Debug)]
-pub enum CacheHandle<'a> {
-    /// Exclusive use of a plain cache; fresh results are inserted directly
-    /// after the campaign.
-    Owned(&'a mut CampaignCache),
-    /// A shared concurrent store; fresh results are appended to its log
-    /// and published after the campaign.
-    Shared(&'a SharedCampaignCache),
-}
-
 /// Everything a campaign execution carries besides the executor: sinks,
 /// cache, priors, and the profile rollup destination.
 ///
@@ -375,9 +357,11 @@ pub struct ExecContext<'s, 'a> {
     /// constructed, and the outcome is identical either way.
     pub sinks: &'s mut [&'a mut dyn Sink],
     /// Campaign result cache: every probe is looked up by its full
-    /// coordinate key and replayed on a hit; misses execute on a pristine
-    /// board and are written back after the last delivery.
-    pub cache: Option<CacheHandle<'s>>,
+    /// coordinate key in one snapshot taken before the first probe and
+    /// replayed on a hit; misses execute on a pristine board and are
+    /// published in one [`SharedCampaignCache::publish`] after the last
+    /// delivery.
+    pub cache: Option<&'s SharedCampaignCache>,
     /// Warm-start priors; when `None` and a cache is present, priors are
     /// derived from the cache view before the first probe executes, so
     /// warm-started searches stay schedule-independent.

@@ -69,9 +69,7 @@ pub use cache::{CacheError, CampaignCache, SharedCampaignCache};
 pub use classify::ClassifiedRun;
 pub use config::CampaignConfig;
 pub use effect::{Effect, EffectSet};
-pub use exec::{
-    CacheHandle, CampaignExecutor, ExecContext, ExecError, SerialExecutor, ThreadPoolExecutor,
-};
+pub use exec::{CampaignExecutor, ExecContext, ExecError, SerialExecutor, ThreadPoolExecutor};
 pub use regions::{CharacterizationResult, RegionKind, SweepSummary};
 pub use runner::{Campaign, UnknownBenchmark};
 pub use search::{SearchPriors, SearchStrategy};

@@ -18,13 +18,13 @@
 //! [`CampaignCache`]: crate::cache::CampaignCache
 
 use crate::cache::{
-    encode_enhancements, rail_label, CachedRun, CampaignCache, GoldenEntry, GoldenKey, StepEntry,
-    StepKey,
+    encode_enhancements, rail_label, CachedRun, CampaignCache, GoldenEntry, GoldenKey,
+    SharedCampaignCache, StepEntry, StepKey,
 };
 use crate::classify::{classify_run, ClassifiedRun};
 use crate::config::SweptRail;
 use crate::config::{BenchmarkRef, CampaignConfig};
-use crate::exec::{CacheHandle, CampaignExecutor, ExecContext, ExecError, ItemTask, WorkItem};
+use crate::exec::{CampaignExecutor, ExecContext, ExecError, ItemTask, WorkItem};
 use crate::profile::{Phase, PhaseTallies};
 use crate::search::{SearchPlan, SearchPriors, StepVerdict};
 use crate::severity::SeverityWeights;
@@ -101,16 +101,16 @@ impl Campaign {
     /// sink on that stream. Passing no sinks disables tracing entirely: no
     /// event is ever constructed, and the outcome is identical either way.
     ///
-    /// Cache semantics ([`CacheHandle`]): every golden capture and
+    /// Cache semantics ([`SharedCampaignCache`]): every golden capture and
     /// voltage-step probe is first looked up by its full coordinate key
     /// (chip, rail, frequencies, enhancements, seed, iteration count,
     /// benchmark, dataset, core, voltage); a hit replays the stored outcome
     /// without touching a board, so a cached rerun's outcome equals a cold
-    /// one. The campaign reads one immutable cache view fixed before the
-    /// first probe (for a shared cache, an [`Arc`] snapshot), so lookups
-    /// never race with writers; fresh results are written back after the
-    /// last delivery — directly into an owned cache, or appended and
-    /// published to a shared one. Campaigns that collect performance
+    /// one. The campaign reads one [`Arc`] snapshot of the cache taken
+    /// before the first probe, so lookups never race with sibling
+    /// campaigns; the snapshot is dropped after the last delivery and the
+    /// fresh results go into the store in one
+    /// [`SharedCampaignCache::publish`]. Campaigns that collect performance
     /// counters bypass the cache (entries do not retain counter files).
     ///
     /// Warm-start priors ([`SearchStrategy::WarmStart`]) come from
@@ -146,20 +146,11 @@ impl Campaign {
             .map(|(index, (bench, core))| WorkItem { index, bench, core })
             .collect();
 
-        // Fix one immutable cache view before the first probe executes.
-        // For a shared cache this is an Arc snapshot: concurrent sibling
-        // campaigns may append and publish freely without this campaign
-        // ever observing mid-run changes (lookups stay deterministic).
-        let mut cache = cache;
-        let snapshot: Option<Arc<CampaignCache>> = match &cache {
-            Some(CacheHandle::Shared(shared)) => Some(shared.snapshot()),
-            _ => None,
-        };
-        let cache_view: Option<&CampaignCache> = match (&cache, &snapshot) {
-            (Some(CacheHandle::Owned(owned)), _) => Some(&**owned),
-            (Some(CacheHandle::Shared(_)), Some(snap)) => Some(snap.as_ref()),
-            _ => None,
-        };
+        // Fix one immutable cache view before the first probe executes:
+        // sibling campaigns may publish freely without this campaign ever
+        // observing mid-run changes (lookups stay deterministic).
+        let snapshot: Option<Arc<CampaignCache>> = cache.map(SharedCampaignCache::snapshot);
+        let cache_view = snapshot.as_deref();
 
         // Warm-start priors must be fixed before the first probe executes;
         // deriving them from sibling items of the running campaign would
@@ -248,28 +239,12 @@ impl Campaign {
             });
         }
 
-        // Write fresh results back after the last lookup: directly into an
-        // owned cache, or onto the shared append log (published at once so
-        // a subsequent campaign's snapshot sees this campaign's work).
-        match cache.as_mut() {
-            Some(CacheHandle::Owned(owned)) => {
-                for (key, entry) in fresh_goldens {
-                    owned.insert_golden(key, entry);
-                }
-                for (key, entry) in fresh_steps {
-                    owned.insert_step(key, entry);
-                }
-            }
-            Some(CacheHandle::Shared(shared)) => {
-                for (key, entry) in fresh_goldens {
-                    shared.append_golden(key, entry);
-                }
-                for (key, entry) in fresh_steps {
-                    shared.append_step(key, entry);
-                }
-                shared.publish();
-            }
-            None => {}
+        // Publish fresh results after the last lookup, so a subsequent
+        // campaign's snapshot sees this campaign's work. Dropping our own
+        // snapshot first lets an unshared store take them in place.
+        drop(snapshot);
+        if let Some(shared) = cache {
+            shared.publish(fresh_goldens, fresh_steps);
         }
 
         let rail = self.config.rail;
@@ -1176,31 +1151,31 @@ mod tests {
             .run(&SerialExecutor, ExecContext::new())
             .expect("built-in executors uphold the delivery contract");
 
-        let mut cache = CampaignCache::new();
+        let cache = SharedCampaignCache::new();
         let cold = campaign
             .run(
                 &SerialExecutor,
                 ExecContext {
-                    cache: Some(CacheHandle::Owned(&mut cache)),
+                    cache: Some(&cache),
                     ..ExecContext::new()
                 },
             )
             .expect("built-in executors uphold the delivery contract");
         assert!(!cache.is_empty(), "cold run must populate the cache");
 
-        let mut cache_after = cache.clone();
+        let cold_jsonl = cache.to_jsonl();
         let warm = campaign
             .run(
                 &SerialExecutor,
                 ExecContext {
-                    cache: Some(CacheHandle::Owned(&mut cache_after)),
+                    cache: Some(&cache),
                     ..ExecContext::new()
                 },
             )
             .expect("built-in executors uphold the delivery contract");
         assert_eq!(
+            cold_jsonl,
             cache.to_jsonl(),
-            cache_after.to_jsonl(),
             "a fully-cached rerun must not grow the cache"
         );
 

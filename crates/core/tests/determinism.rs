@@ -206,6 +206,25 @@ fn reference_campaign_artifacts_are_pinned() {
         "OpenMetrics exposition moved:\n{exposition}"
     );
     assert_eq!(fnv1a(&csv), 0x5d47_1173_3620_16ff, "runs CSV moved:\n{csv}");
+
+    // The cache bytes a cold run publishes. A separate untraced run: cache
+    // lookups add `CacheLookup` events that would move the trace digest.
+    let cache = margins_core::SharedCampaignCache::new();
+    campaign()
+        .run(
+            &ThreadPoolExecutor::new(4).expect("4 workers is a valid pool"),
+            ExecContext {
+                cache: Some(&cache),
+                ..ExecContext::new()
+            },
+        )
+        .expect("built-in executors uphold the delivery contract");
+    let cache_jsonl = cache.to_jsonl();
+    assert_eq!(
+        fnv1a(&cache_jsonl),
+        0x17a2_735c_00f6_64c9,
+        "cache JSONL moved:\n{cache_jsonl}"
+    );
 }
 
 #[test]

@@ -164,7 +164,7 @@ mod tests {
         let g = Governor::new(t, Policy::default());
         let d = g.decide(&a).unwrap();
         assert_eq!(d.voltage, Millivolts::new(915));
-        assert_eq!(d.relative_performance, 1.0);
+        assert_eq!(d.relative_performance.to_bits(), 1.0_f64.to_bits());
         assert!(
             (d.energy_savings - 0.128).abs() < 0.001,
             "{}",

@@ -222,8 +222,8 @@ mod tests {
         assert_eq!(points[5].voltage, DIVIDED_SAFE);
         // Performance steps down by 12.5% per dropped PMD.
         let perfs: Vec<f64> = points.iter().map(|p| p.relative_performance).collect();
-        assert_eq!(perfs[0], 1.0);
-        assert_eq!(perfs[1], 1.0);
+        assert_eq!(perfs[0].to_bits(), 1.0_f64.to_bits());
+        assert_eq!(perfs[1].to_bits(), 1.0_f64.to_bits());
         assert!((perfs[2] - 0.875).abs() < 1e-12);
         assert!((perfs[5] - 0.5).abs() < 1e-12);
         // Savings strictly increase along the staircase.
@@ -257,8 +257,8 @@ mod tests {
         let (assignments, table) = fig9_table();
         let (shared, per_pmd) = per_pmd_rails_comparison(&assignments, &table).unwrap();
         assert!(per_pmd.energy_savings > shared.energy_savings);
-        assert_eq!(shared.relative_performance, 1.0);
-        assert_eq!(per_pmd.relative_performance, 1.0);
+        assert_eq!(shared.relative_performance.to_bits(), 1.0_f64.to_bits());
+        assert_eq!(per_pmd.relative_performance.to_bits(), 1.0_f64.to_bits());
         // Shared rail pinned at 915 mV → 12.8% savings; per-PMD rails at
         // (915, 900, 875, 885) → mean of the four V² terms.
         assert!((shared.energy_savings - 0.128).abs() < 0.001);

@@ -12,8 +12,8 @@
 //! never holds more than one byte past the cap.
 //!
 //! A `shutdown` frame stops the accept loop; in-flight chips finish, the
-//! shared campaign cache is published and saved (when a cache path was
-//! given), and the process exits cleanly.
+//! shared campaign cache, which every finished chip has published into,
+//! is saved (when a cache path was given), and the process exits cleanly.
 //!
 //! **Streaming.** A `subscribe` frame turns the connection into a duplex
 //! channel: a pump thread per subscription drains the service's bounded

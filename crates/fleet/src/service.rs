@@ -24,7 +24,7 @@
 use crate::proto::{FleetEvent, FleetSpec, HealthSnapshot, SpecError};
 use margins_core::cache::SharedCampaignCache;
 use margins_core::config::CampaignConfig;
-use margins_core::exec::{CacheHandle, ExecContext, ExecError, ThreadPoolExecutor};
+use margins_core::exec::{ExecContext, ExecError, ThreadPoolExecutor};
 use margins_core::profile::PhaseTallies;
 use margins_core::runner::Campaign;
 use margins_sim::ChipSpec;
@@ -825,7 +825,7 @@ impl FleetService {
                 &self.executor,
                 ExecContext {
                     sinks: &mut sinks,
-                    cache: Some(CacheHandle::Shared(&self.cache)),
+                    cache: Some(&self.cache),
                     priors: None,
                     profile_out: Some(&mut tallies),
                 },

@@ -15,10 +15,10 @@
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-use voltmargin::characterize::cache::CampaignCache;
+use voltmargin::characterize::cache::{CampaignCache, SharedCampaignCache};
 use voltmargin::characterize::config::{CampaignConfig, SweptRail};
 use voltmargin::characterize::exec::{
-    CacheHandle, CampaignExecutor, ExecContext, SerialExecutor, ThreadPoolExecutor,
+    CampaignExecutor, ExecContext, SerialExecutor, ThreadPoolExecutor,
 };
 use voltmargin::characterize::regions::analyze;
 use voltmargin::characterize::report;
@@ -494,9 +494,9 @@ fn characterize(opts: &mut Options) -> Result<(), String> {
     let mut progress_sink = progress.then(|| ProgressSink::new(std::io::stderr()));
 
     let cache_path = opts.flags.get("cache").cloned();
-    let mut cache = match &cache_path {
+    let cache = match &cache_path {
         Some(path) => {
-            let loaded = CampaignCache::load(path).map_err(|e| e.to_string())?;
+            let loaded = SharedCampaignCache::load(path).map_err(|e| e.to_string())?;
             if !loaded.is_empty() {
                 eprintln!(
                     "campaign cache: {} entries loaded from {path}",
@@ -545,7 +545,7 @@ fn characterize(opts: &mut Options) -> Result<(), String> {
                 &*executor,
                 ExecContext {
                     sinks: &mut sinks,
-                    cache: cache.as_mut().map(CacheHandle::Owned),
+                    cache: cache.as_ref(),
                     ..ExecContext::new()
                 },
             )

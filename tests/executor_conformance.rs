@@ -10,7 +10,7 @@
 use voltmargin::characterize::cache::SharedCampaignCache;
 use voltmargin::characterize::config::CampaignConfig;
 use voltmargin::characterize::exec::{
-    CacheHandle, CampaignExecutor, ExecContext, ExecError, ItemOutput, ItemTask, SerialExecutor,
+    CampaignExecutor, ExecContext, ExecError, ItemOutput, ItemTask, SerialExecutor,
     ThreadPoolExecutor,
 };
 use voltmargin::characterize::profile::PhaseTallies;
@@ -178,10 +178,10 @@ fn delivery_contract_violations_are_typed_errors() {
 #[test]
 fn shared_cache_serves_concurrent_campaigns_and_saves_deterministically() {
     // Two identical campaigns race against one shared store; each runs
-    // from its own immutable snapshot, appends what it executed, and
-    // publishes at the end. However the appends interleave, the published
-    // store must serialize exactly like the cache an owned, serial
-    // campaign would have produced.
+    // from its own immutable snapshot and publishes what it executed at
+    // the end. However the publishes interleave, the store must serialize
+    // exactly like the cache a serial campaign on its own fresh store
+    // would have produced.
     let shared = SharedCampaignCache::new();
     let pool = ThreadPoolExecutor::new(2).expect("2 is a valid thread count");
     std::thread::scope(|s| {
@@ -193,7 +193,7 @@ fn shared_cache_serves_concurrent_campaigns_and_saves_deterministically() {
                     .run(
                         pool,
                         ExecContext {
-                            cache: Some(CacheHandle::Shared(shared)),
+                            cache: Some(shared),
                             ..ExecContext::new()
                         },
                     )
@@ -202,21 +202,21 @@ fn shared_cache_serves_concurrent_campaigns_and_saves_deterministically() {
         }
     });
 
-    let mut owned = voltmargin::characterize::cache::CampaignCache::new();
+    let serial = SharedCampaignCache::new();
     campaign()
         .run(
             &SerialExecutor,
             ExecContext {
-                cache: Some(CacheHandle::Owned(&mut owned)),
+                cache: Some(&serial),
                 ..ExecContext::new()
             },
         )
         .expect("built-in executors uphold the delivery contract");
-    assert!(!owned.is_empty(), "cold campaign populates its cache");
+    assert!(!serial.is_empty(), "cold campaign populates its cache");
     assert_eq!(
         shared.to_jsonl(),
-        owned.to_jsonl(),
-        "shared store must serialize independently of append interleaving"
+        serial.to_jsonl(),
+        "shared store must serialize independently of publish interleaving"
     );
 
     // And the on-disk artifact is the same bytes as the serialization.
@@ -224,7 +224,7 @@ fn shared_cache_serves_concurrent_campaigns_and_saves_deterministically() {
     shared.save(&path).expect("cache saves");
     assert_eq!(
         std::fs::read_to_string(&path).expect("cache file reads"),
-        owned.to_jsonl()
+        serial.to_jsonl()
     );
     let _ = std::fs::remove_file(&path);
 }
@@ -236,7 +236,7 @@ fn fully_warm_shared_cache_executes_zero_machine_probes() {
         .run(
             &SerialExecutor,
             ExecContext {
-                cache: Some(CacheHandle::Shared(&shared)),
+                cache: Some(&shared),
                 ..ExecContext::new()
             },
         )
@@ -247,7 +247,7 @@ fn fully_warm_shared_cache_executes_zero_machine_probes() {
         .run(
             &ThreadPoolExecutor::new(4).expect("4 is a valid thread count"),
             ExecContext {
-                cache: Some(CacheHandle::Shared(&shared)),
+                cache: Some(&shared),
                 profile_out: Some(&mut tallies),
                 ..ExecContext::new()
             },

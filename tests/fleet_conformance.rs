@@ -15,7 +15,7 @@
 //!    machine ops.
 
 use voltmargin::characterize::cache::SharedCampaignCache;
-use voltmargin::characterize::exec::{CacheHandle, ExecContext, ExecError, SerialExecutor};
+use voltmargin::characterize::exec::{ExecContext, ExecError, SerialExecutor};
 use voltmargin::characterize::profile::PhaseTallies;
 use voltmargin::characterize::runner::Campaign;
 use voltmargin::characterize::search::SearchStrategy;
@@ -67,7 +67,7 @@ fn serial_baseline(fleet: &FleetSpec, cache: &SharedCampaignCache) -> Baseline {
                     &SerialExecutor,
                     ExecContext {
                         sinks: &mut sinks,
-                        cache: Some(CacheHandle::Shared(cache)),
+                        cache: Some(cache),
                         priors: None,
                         profile_out: Some(&mut chip_tallies),
                     },

@@ -5,11 +5,12 @@
 
 use margins_rng::{check_cases, SplitMix64};
 use voltmargin::characterize::cache::{
-    CacheError, CachedRun, CampaignCache, GoldenEntry, GoldenKey, StepEntry, StepKey,
+    CacheError, CachedRun, CampaignCache, GoldenEntry, GoldenKey, SharedCampaignCache, StepEntry,
+    StepKey,
 };
 use voltmargin::characterize::config::CampaignConfig;
 use voltmargin::characterize::effect::{Effect, EffectSet};
-use voltmargin::characterize::exec::{CacheHandle, ExecContext, SerialExecutor};
+use voltmargin::characterize::exec::{ExecContext, SerialExecutor};
 use voltmargin::characterize::regions::RegionKind;
 use voltmargin::characterize::runner::Campaign;
 use voltmargin::characterize::search::SearchStrategy;
@@ -269,7 +270,7 @@ fn check_corrupt_no_panic(cut: usize, pos: usize, byte: u8) {
     let mut flipped = bytes.to_vec();
     let at = pos % flipped.len();
     flipped[at] = byte;
-    expect_typed_parse(&String::from_utf8_lossy(&flipped).into_owned());
+    expect_typed_parse(&String::from_utf8_lossy(&flipped));
 }
 
 /// A campaign must produce the identical outcome with no cache, with a
@@ -293,12 +294,12 @@ fn check_cache_preserves_outcome(seed: u64) {
         let plain = campaign
             .run(&SerialExecutor, ExecContext::new())
             .expect("built-in executors uphold the delivery contract");
-        let mut cache = CampaignCache::new();
+        let cache = SharedCampaignCache::new();
         let cold = campaign
             .run(
                 &SerialExecutor,
                 ExecContext {
-                    cache: Some(CacheHandle::Owned(&mut cache)),
+                    cache: Some(&cache),
                     ..ExecContext::new()
                 },
             )
@@ -307,7 +308,7 @@ fn check_cache_preserves_outcome(seed: u64) {
             .run(
                 &SerialExecutor,
                 ExecContext {
-                    cache: Some(CacheHandle::Owned(&mut cache)),
+                    cache: Some(&cache),
                     ..ExecContext::new()
                 },
             )
@@ -324,7 +325,7 @@ fn check_cache_preserves_outcome(seed: u64) {
         assert_eq!(cold.goldens, warm.goldens);
         assert_eq!(cold.watchdog_power_cycles, warm.watchdog_power_cycles);
         // A cache a real campaign populated must round-trip too.
-        check_roundtrip(&cache);
+        check_roundtrip(&cache.snapshot());
     }
 }
 

@@ -14,9 +14,9 @@
 //! right at the stochastic boundary) carry no equivalence promise and are
 //! excluded, and the suite asserts the domain is never empty.
 
-use voltmargin::characterize::cache::CampaignCache;
+use voltmargin::characterize::cache::SharedCampaignCache;
 use voltmargin::characterize::config::CampaignConfig;
-use voltmargin::characterize::exec::{CacheHandle, ExecContext, ThreadPoolExecutor};
+use voltmargin::characterize::exec::{ExecContext, ThreadPoolExecutor};
 use voltmargin::characterize::regions::{analyze, RegionKind, SweepSummary};
 use voltmargin::characterize::runner::{Campaign, CampaignOutcome};
 use voltmargin::characterize::search::{ItemPrior, SearchPriors, SearchStrategy};
@@ -294,9 +294,9 @@ fn cached_rerun_reports_full_hits_and_identical_outcome() {
             .build()
             .expect("valid configuration")
     };
-    let mut cache = CampaignCache::new();
+    let cache = SharedCampaignCache::new();
 
-    let run = |cache: &mut CampaignCache| {
+    let run = |cache: &SharedCampaignCache| {
         let campaign = Campaign::new(ChipSpec::new(Corner::Ttt, 0), config());
         let mut metrics = MetricsRegistry::new();
         let mut sinks: Vec<&mut dyn Sink> = vec![&mut metrics];
@@ -305,7 +305,7 @@ fn cached_rerun_reports_full_hits_and_identical_outcome() {
                 &ThreadPoolExecutor::clamped(2),
                 ExecContext {
                     sinks: &mut sinks,
-                    cache: Some(CacheHandle::Owned(cache)),
+                    cache: Some(cache),
                     ..ExecContext::new()
                 },
             )
@@ -313,11 +313,11 @@ fn cached_rerun_reports_full_hits_and_identical_outcome() {
         (outcome, metrics)
     };
 
-    let (cold, cold_metrics) = run(&mut cache);
+    let (cold, cold_metrics) = run(&cache);
     assert!(cold_metrics.counter("campaign_cache_misses") > 0);
     assert!(!cache.is_empty());
 
-    let (warm, warm_metrics) = run(&mut cache);
+    let (warm, warm_metrics) = run(&cache);
     assert_eq!(warm.runs, cold.runs);
     assert_eq!(warm.goldens, cold.goldens);
     assert_eq!(warm.watchdog_power_cycles, cold.watchdog_power_cycles);
